@@ -7,6 +7,7 @@
 // who wins, by how much, where things saturate — is.
 #pragma once
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -20,42 +21,9 @@
 
 namespace ht::bench {
 
-/// Pull `--json <path>` out of argv so downstream argument parsers
-/// (google-benchmark in perf_micro) never see it. Returns the path, or ""
-/// when the flag is absent.
-inline std::string take_json_path(int& argc, char** argv) {
-  std::string path;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      path = argv[++i];
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  return path;
-}
-
-/// Pull `--loss <rate>` out of argv (same contract as take_json_path).
-/// Returns the Bernoulli loss rate for a chaos-link bench variant, or 0.0
-/// when the flag is absent.
-inline double take_loss_rate(int& argc, char** argv) {
-  double rate = 0.0;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--loss") == 0 && i + 1 < argc) {
-      rate = std::atof(argv[++i]);
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  return rate;
-}
-
-/// Pull a boolean flag (e.g. `--crash`) out of argv (same contract as
-/// take_json_path). Returns true when the flag was present.
+/// Pull a boolean flag (e.g. `--crash`) out of argv, compacting argv so
+/// downstream argument parsers (google-benchmark in perf_micro) never see
+/// it. Returns true when the flag was present.
 inline bool take_flag(int& argc, char** argv, const char* flag) {
   bool present = false;
   int out = 1;
@@ -68,6 +36,60 @@ inline bool take_flag(int& argc, char** argv, const char* flag) {
   }
   argc = out;
   return present;
+}
+
+/// Pull `<flag> <value>` out of argv (same contract as take_flag) and
+/// parse the value with `parse`, which returns false on a malformed
+/// value. Returns `fallback` when the flag is absent; a flag with no value
+/// or a value `parse` rejects ends the process with exit status 2.
+template <typename T, typename Parse>
+T take_value(int& argc, char** argv, const char* flag, T fallback, Parse parse) {
+  T value = fallback;
+  int out = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) {
+      argv[out++] = argv[i];
+      continue;
+    }
+    if (i + 1 >= argc || !parse(argv[i + 1], value)) {
+      std::fprintf(stderr, "%s: bad or missing value for %s\n", argv[0], flag);
+      std::exit(2);
+    }
+    ++i;
+  }
+  argc = out;
+  return value;
+}
+
+/// `<flag> <path>`; "" when absent.
+inline std::string take_path(int& argc, char** argv, const char* flag) {
+  return take_value(argc, argv, flag, std::string(), [](const char* s, std::string& v) {
+    v = s;
+    return !v.empty();
+  });
+}
+
+/// `<flag> <n>` for a whole number n >= 0; `fallback` when absent. Signs,
+/// fractions, exponents and trailing characters are rejected.
+inline std::size_t take_count(int& argc, char** argv, const char* flag, std::size_t fallback) {
+  return take_value(argc, argv, flag, fallback, [](const char* s, std::size_t& v) {
+    if (*s < '0' || *s > '9') return false;
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(s, &end, 10);
+    if (*end != '\0' || errno == ERANGE) return false;
+    v = static_cast<std::size_t>(n);
+    return true;
+  });
+}
+
+/// `<flag> <p>` for a probability p in [0, 1]; `fallback` when absent.
+inline double take_rate(int& argc, char** argv, const char* flag, double fallback) {
+  return take_value(argc, argv, flag, fallback, [](const char* s, double& v) {
+    char* end = nullptr;
+    v = std::strtod(s, &end);
+    return end != s && *end == '\0' && v >= 0.0 && v <= 1.0;
+  });
 }
 
 /// Machine-readable sidecar for a bench binary: one entry per reported

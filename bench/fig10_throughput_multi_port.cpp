@@ -16,9 +16,11 @@
 int main(int argc, char** argv) {
   using namespace ht;
 
-  bench::BenchJson json("fig10_throughput_multi_port", bench::take_json_path(argc, argv));
-  const std::size_t shards_arg = bench::take_shards(argc, argv);
-  const std::size_t testers_arg = bench::take_testers(argc, argv);
+  bench::BenchJson json("fig10_throughput_multi_port", bench::take_path(argc, argv, "--json"));
+  // 0 (or absent): sweep the default {1, 2, 4, 8} shard series and run the
+  // paper's 8-tester fleet.
+  const std::size_t shards_arg = bench::take_count(argc, argv, "--shards", 0);
+  const std::size_t testers_arg = bench::take_count(argc, argv, "--testers", 0);
   const std::size_t fleet = testers_arg > 0 ? testers_arg : 8;
 
   bench::headline("Figure 10(a): HyperTester multi-port (100G each, 64B)",

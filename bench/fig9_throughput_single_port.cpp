@@ -7,7 +7,7 @@
 //
 // With `--loss <rate>` the 100G sweep instead runs through a chaos link
 // (Bernoulli loss, fixed seed) and reports delivered goodput plus the
-// aggregated drop report — the degraded-conditions variant written by
+// registry's drop counters — the degraded-conditions variant written by
 // scripts/bench.sh as BENCH_fig9_lossy.json.
 //
 // With `--crash` the sweep runs under the Supervisor (DESIGN.md §14): the
@@ -17,14 +17,16 @@
 // completeness vs an uninterrupted supervised run (1.0 = byte-identical
 // recovery), recovery counts, and the supervision wall-clock overhead.
 #include <chrono>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/tasks.hpp"
 #include "baseline/moongen.hpp"
 #include "common.hpp"
 #include "core/supervisor.hpp"
-#include "sim/stats.hpp"
 #include "telemetry/export.hpp"
 
 namespace {
@@ -34,7 +36,7 @@ struct RunResult {
   double delivered_gbps = 0.0; ///< goodput after chaos-link loss
   std::uint64_t offered = 0;
   std::uint64_t delivered = 0;
-  std::vector<ht::sim::DropCounter> drops;
+  std::vector<std::pair<std::string, std::uint64_t>> drops;  ///< registry drop audit
   std::string telemetry_json;  ///< registry dump (per-port latency quantiles etc.)
 };
 
@@ -65,7 +67,7 @@ RunResult hypertester_run(double port_rate, std::size_t pkt_len, double loss_rat
                          ? r.tx_gbps * static_cast<double>(r.delivered) /
                                static_cast<double>(r.offered)
                          : r.tx_gbps;
-  r.drops = tb.tester->drop_report();
+  r.drops = metrics.drop_counters();
   r.telemetry_json = ht::telemetry::to_json(metrics);
   return r;
 }
@@ -146,8 +148,8 @@ CrashRunResult supervised_run(std::size_t pkt_len, bool with_crash) {
 int main(int argc, char** argv) {
   using namespace ht;
   using clock = std::chrono::steady_clock;
-  const std::string json_path = bench::take_json_path(argc, argv);
-  const double loss = bench::take_loss_rate(argc, argv);
+  const std::string json_path = bench::take_path(argc, argv, "--json");
+  const double loss = bench::take_rate(argc, argv, "--loss", 0.0);
   const bool crash = bench::take_flag(argc, argv, "--crash");
   const std::size_t sizes[] = {64, 128, 256, 512, 1024, 1500};
 
@@ -204,9 +206,15 @@ int main(int argc, char** argv) {
                static_cast<double>(r.offered - r.delivered), "packets", 0.0);
       last = r;
     }
-    std::printf("\ndrop report (1500B run):\n%s\n", sim::format_drop_report(last.drops).c_str());
-    json.add("total_drops_1500B", static_cast<double>(sim::total_drops(last.drops)), "packets",
-             0.0);
+    std::printf("\ndrop report (1500B run):\n");
+    std::uint64_t dropped = 0;
+    for (const auto& [source, count] : last.drops) {
+      if (count == 0) continue;
+      std::printf("  %s: %llu\n", source.c_str(), static_cast<unsigned long long>(count));
+      dropped += count;
+    }
+    std::printf("%s\n", dropped > 0 ? "" : "no drops");
+    json.add("total_drops_1500B", static_cast<double>(dropped), "packets", 0.0);
     json.set_block("telemetry", last.telemetry_json);
     return json.write() ? 0 : 1;
   }

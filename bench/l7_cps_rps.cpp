@@ -281,7 +281,7 @@ DetRun run_cps_sharded(std::size_t nshards) {
 int main(int argc, char** argv) {
   using namespace ht;
 
-  bench::BenchJson json("l7_cps_rps", bench::take_json_path(argc, argv));
+  bench::BenchJson json("l7_cps_rps", bench::take_path(argc, argv, "--json"));
 
   bench::headline("L4-L7 (a): HTTP CPS against the stateful TCB store",
                   "1M+ concurrent connections on four 100G ports");

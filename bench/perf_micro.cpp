@@ -235,7 +235,7 @@ void run_fig10_scaling(ht::bench::BenchJson& json, int reps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ht::bench::BenchJson json("perf", ht::bench::take_json_path(argc, argv));
+  ht::bench::BenchJson json("perf", ht::bench::take_path(argc, argv, "--json"));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

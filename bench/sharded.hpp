@@ -11,8 +11,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -21,40 +19,6 @@
 #include "core/cluster.hpp"
 
 namespace ht::bench {
-
-/// Pull `--shards <n>` out of argv (same contract as take_json_path).
-/// Returns 0 when the flag is absent — callers treat that as "sweep the
-/// default {1, 2, 4, 8} series".
-inline std::size_t take_shards(int& argc, char** argv) {
-  std::size_t shards = 0;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::atol(argv[++i]));
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  return shards;
-}
-
-/// Pull `--testers <n>` out of argv (same contract as take_shards).
-/// Returns 0 when the flag is absent — callers fall back to the workload
-/// default (8, the paper's testbed fleet).
-inline std::size_t take_testers(int& argc, char** argv) {
-  std::size_t testers = 0;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--testers") == 0 && i + 1 < argc) {
-      testers = static_cast<std::size_t>(std::atol(argv[++i]));
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  return testers;
-}
 
 struct ShardedRun {
   std::uint64_t packets = 0;

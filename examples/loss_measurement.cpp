@@ -4,23 +4,25 @@
 // first over a clean store-and-forward DUT, then with a chaos profile on
 // the task — a Gilbert-Elliott bursty-loss link plus mild reordering.
 // The sent/received query pair gives the measured loss rate, and the
-// aggregated drop report shows where every missing packet went. Both runs
+// registry's drop counters show where every missing packet went. Both runs
 // reproduce bit-identically from the profile seed (DESIGN.md §9).
 //
 //   $ ./loss_measurement
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/tasks.hpp"
 #include "core/hypertester.hpp"
 #include "dut/forwarder.hpp"
-#include "sim/stats.hpp"
 
 namespace {
 
 struct Result {
   std::uint64_t sent = 0;
   std::uint64_t received = 0;
-  std::string drop_report;
+  std::vector<std::pair<std::string, std::uint64_t>> drops;
 };
 
 /// Tester port 0 -> store-and-forward DUT -> tester port 1, driving a
@@ -51,7 +53,7 @@ Result run(const ht::ntapi::ChaosSpec* chaos) {
   Result r;
   r.sent = tester.query_total(app.q_sent);
   r.received = tester.query_total(app.q_received);
-  r.drop_report = sim::format_drop_report(tester.drop_report());
+  r.drops = tester.metrics().drop_counters();
   return r;
 }
 
@@ -62,7 +64,13 @@ void report(const char* label, const Result& r) {
   std::printf("%s\n  sent %llu, received %llu -> measured loss %.2f%%\n  drop report:\n",
               label, static_cast<unsigned long long>(r.sent),
               static_cast<unsigned long long>(r.received), loss);
-  std::printf("%s\n", r.drop_report.c_str());
+  bool any = false;
+  for (const auto& [source, count] : r.drops) {
+    if (count == 0) continue;
+    std::printf("  %s: %llu\n", source.c_str(), static_cast<unsigned long long>(count));
+    any = true;
+  }
+  std::printf("%s\n", any ? "" : "no drops");
 }
 
 }  // namespace

@@ -14,11 +14,10 @@
 //   --loopback   wire every switch port back to itself through a cable,
 //                so received-traffic queries see the sent traffic
 //
-// The `stats` subcommand runs the script under retry supervision and dumps
-// the tester's metrics registry — Prometheus exposition text by default,
-// compact JSON with --json — followed by any structured FailureReports the
-// run produced (the registry itself carries the ht_run_retries_total /
-// ht_run_failures_total and controller retry/backoff counters). With
+// The `stats` subcommand runs the script exactly as the plain run does and
+// dumps the tester's metrics registry — Prometheus exposition text by
+// default, compact JSON with --json. The registry carries every drop
+// counter and the controller's retry/backoff counters. With
 // `--trace out.json` it also records the run's tracing spans and writes a
 // Chrome trace_event file loadable in https://ui.perfetto.dev (task
 // annotations, pipeline walks, per-port TX, recirculation loops).
@@ -62,7 +61,6 @@
 #include "dut/capture.hpp"
 #include "ntapi/compiler.hpp"
 #include "ntapi/text/parser.hpp"
-#include "sim/fault.hpp"
 #include "sim/snapshot.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -413,14 +411,7 @@ int main(int argc, char** argv) {
     for (const auto& w : tester.compiled().warnings) std::printf("warning: %s\n", w.c_str());
 
     tester.start();
-    if (stats_mode) {
-      // Stats runs go through retry supervision so the registry's
-      // ht_run_retries_total / ht_run_failures_total counters and the
-      // failure log reflect a supervised run, not a blind run_for.
-      tester.run_with_retry(sim::ms(static_cast<std::uint64_t>(run_ms)), sim::RetryPolicy{});
-    } else {
-      tester.run_for(sim::ms(static_cast<std::uint64_t>(run_ms)));
-    }
+    tester.run_for(sim::ms(static_cast<std::uint64_t>(run_ms)));
     std::printf("ran %ldms simulated (%llu events)\n\n", run_ms,
                 static_cast<unsigned long long>(tester.events().executed()));
 
@@ -428,9 +419,6 @@ int main(int argc, char** argv) {
       const auto report = tester.telemetry_report();
       std::fputs(stats_json ? report.json.c_str() : report.prometheus.c_str(), stdout);
       if (stats_json) std::fputc('\n', stdout);
-      for (const auto& f : tester.failure_log()) {
-        std::fprintf(stderr, "%s\n", sim::format_failure(f).c_str());
-      }
       if (trace_path != nullptr) {
         std::ofstream tf(trace_path);
         if (!tf) {

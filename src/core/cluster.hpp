@@ -45,7 +45,7 @@ class TesterCluster {
   const sim::ShardGroup& shards() const { return group_; }
 
   /// Construct a tester placed on `shard` (must be < shards().size()).
-  /// cfg.shards/cfg.seed are ignored — the cluster's group decides both.
+  /// The cluster's group decides the shard count and the run seed.
   HyperTester& add_tester(TesterConfig cfg, std::size_t shard);
 
   /// Balanced placement for one tester per task: greedy longest-

@@ -1,6 +1,5 @@
 #include "core/hypertester.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "net/packet_pool.hpp"
@@ -10,8 +9,7 @@
 namespace ht {
 
 HyperTester::HyperTester(TesterConfig cfg)
-    : owned_group_(std::make_unique<sim::ShardGroup>(cfg.shards == 0 ? 1 : cfg.shards,
-                                                     cfg.seed)),
+    : owned_group_(std::make_unique<sim::ShardGroup>(1)),
       home_(&owned_group_->shard(0)),
       ev_(home_->ev()),
       asic_(ev_, cfg.asic),
@@ -19,28 +17,27 @@ HyperTester::HyperTester(TesterConfig cfg)
       cfg_fastpath_(cfg.fastpath) {
   auto& m = asic_.metrics();
   controller_.register_metrics(m);
-  // Event-slab instrumentation joins the registry as mirrors — but only in
-  // pure legacy mode (a standalone tester on a 1-shard group). With more
-  // shards the slab numbers depend on how events split across queues, and
-  // mirroring them would break the byte-identical-exports contract across
-  // shard counts (DESIGN.md §13); the packet pool is excluded for the
-  // analogous reason (its legacy incarnation was process-global, so its
-  // numbers depended on how many testers ran before this one). Both stay
-  // reachable via alloc_cache_reports().
-  if (owned_group_->size() == 1) {
-    m.mirror_counter("ht_sim_event_slab_hits_total",
-                     [this] { return ev_.slab_stats().hits; },
-                     {.help = "event nodes served from the slab freelist"});
-    m.mirror_counter("ht_sim_event_slab_misses_total",
-                     [this] { return ev_.slab_stats().misses; },
-                     {.help = "event nodes carved fresh from a chunk"});
-    m.mirror_counter("ht_sim_event_heap_closures_total",
-                     [this] { return ev_.slab_stats().heap_closures; },
-                     {.help = "event callables too big for inline storage"});
-    m.mirror_gauge("ht_sim_event_slab_high_water",
-                   [this] { return static_cast<std::int64_t>(ev_.slab_stats().high_water); },
-                   {.help = "max events simultaneously pending"});
-  }
+  // Event-slab instrumentation joins the registry as mirrors — but only
+  // here, where the tester owns its whole one-shard engine. A placed
+  // tester shares a multi-shard group whose slab numbers depend on how
+  // events split across queues, and mirroring them would break the
+  // byte-identical-exports contract across shard counts (DESIGN.md §13);
+  // the packet pool is excluded for the analogous reason (its legacy
+  // incarnation was process-global, so its numbers depended on how many
+  // testers ran before this one). Both stay reachable via
+  // alloc_cache_reports().
+  m.mirror_counter("ht_sim_event_slab_hits_total",
+                   [this] { return ev_.slab_stats().hits; },
+                   {.help = "event nodes served from the slab freelist"});
+  m.mirror_counter("ht_sim_event_slab_misses_total",
+                   [this] { return ev_.slab_stats().misses; },
+                   {.help = "event nodes carved fresh from a chunk"});
+  m.mirror_counter("ht_sim_event_heap_closures_total",
+                   [this] { return ev_.slab_stats().heap_closures; },
+                   {.help = "event callables too big for inline storage"});
+  m.mirror_gauge("ht_sim_event_slab_high_water",
+                 [this] { return static_cast<std::int64_t>(ev_.slab_stats().high_water); },
+                 {.help = "max events simultaneously pending"});
   register_lifecycle_metrics();
 }
 
@@ -57,10 +54,10 @@ HyperTester::HyperTester(TesterConfig cfg, sim::Shard& shard)
 
 void HyperTester::register_lifecycle_metrics() {
   auto& m = asic_.metrics();
-  m.mirror_counter("ht_run_retries_total", [this] { return run_retries_; },
-                   {.help = "stalled run slices retried with backoff"});
-  m.mirror_counter("ht_run_failures_total", [this] { return run_failures_; },
-                   {.help = "supervised runs that gave up (FailureReport emitted)"});
+  // Always 0; registered only so pinned Prometheus text and digests keep their bytes.
+  m.counter("ht_run_retries_total", {.help = "stalled run slices retried with backoff"});
+  m.counter("ht_run_failures_total",
+            {.help = "supervised runs that gave up (FailureReport emitted)"});
   m.mirror_counter("ht_crash_events_total", [this] { return crash_events_; },
                    {.help = "process-level faults applied to this tester"});
   m.mirror_gauge("ht_tester_crashed",
@@ -262,77 +259,6 @@ void HyperTester::apply_chaos() {
                      return total;
                    },
                    {.help = "packets the chaos injectors handed to their destination"});
-}
-
-std::vector<sim::DropCounter> HyperTester::drop_report() const {
-  // Everything with a drop_source registered on the device registry, in
-  // registration order: ASIC + ports (construction), controller (ctor),
-  // HTPR integrity gates + FIFOs (load), chaos links (start).
-  std::vector<sim::DropCounter> out;
-  for (auto& [source, count] : asic_.metrics().drop_counters()) out.push_back({source, count});
-  return out;
-}
-
-std::optional<sim::FailureReport> HyperTester::run_with_retry(
-    sim::TimeNs duration, sim::RetryPolicy policy, std::function<std::uint64_t()> progress) {
-  if (!progress) {
-    // Recirculating templates keep the ASIC busy even when every link is
-    // down, so "the pipeline moved" is not progress. Progress is packets
-    // crossing the wire: chaos-link deliveries plus front-panel receives
-    // (the latter covers runs without a chaos profile).
-    progress = [this] {
-      std::uint64_t total = 0;
-      for (const auto& link : chaos_links_) total += link.injector->stats().delivered;
-      for (std::size_t p = 0; p < asic_.port_count(); ++p) {
-        total += asic_.port(static_cast<std::uint16_t>(p)).rx_packets();
-      }
-      return total;
-    };
-  }
-  const sim::TimeNs deadline = ev_.now() + duration;
-  const sim::TimeNs first_attempt = ev_.now();
-  auto counters_before = drop_report();
-  unsigned retry = 0;
-  unsigned attempts = 1;
-  std::uint64_t last = progress();
-  while (ev_.now() < deadline) {
-    const sim::TimeNs slice = std::min<sim::TimeNs>(policy.timeout_ns, deadline - ev_.now());
-    home_->group().run_until(ev_.now() + slice);
-    const std::uint64_t current = progress();
-    if (current != last) {
-      last = current;
-      retry = 0;
-      continue;
-    }
-    if (retry >= policy.max_retries) {
-      sim::FailureReport report;
-      report.component = "HyperTester";
-      report.what = "task '" + compiled_->name +
-                    "' made no progress (link down or peer unresponsive)";
-      report.first_attempt_ns = first_attempt;
-      report.gave_up_ns = ev_.now();
-      report.attempts = attempts;
-      report.counters_before = std::move(counters_before);
-      report.counters_after = drop_report();
-      ++run_failures_;
-      failure_log_.push_back(report);
-      return report;
-    }
-    ++retry;
-    ++attempts;
-    ++run_retries_;
-    // Backoff still advances sim time: a flap window can end while we
-    // wait, in which case the next slice sees progress and resets retry.
-    const sim::TimeNs wait =
-        std::min<sim::TimeNs>(policy.backoff(retry - 1), deadline - ev_.now());
-    if (wait > 0) home_->group().run_until(ev_.now() + wait);
-    const std::uint64_t after_backoff = progress();
-    if (after_backoff != last) {
-      last = after_backoff;
-      retry = 0;
-    }
-  }
-  return std::nullopt;
 }
 
 std::uint64_t HyperTester::query_total(ntapi::QueryHandle q) const {

@@ -38,24 +38,16 @@ struct TesterConfig {
   /// Off = every packet takes the interpreted reference walk; results are
   /// byte-identical either way (tests/fastpath_diff_test.cpp).
   bool fastpath = true;
-  /// Shards of the internal ShardGroup a standalone tester creates
-  /// (DESIGN.md §13). The tester itself always lives on shard 0; the
-  /// remaining shards are parallel domains for devices under test, wired
-  /// through shard_group().connect(). 1 (default) = the exact legacy
-  /// single-queue engine, inline on the calling thread. Ignored when the
-  /// tester is placed into an existing group (TesterCluster).
-  std::size_t shards = 1;
-  /// Run seed fanned out (splitmix64) into per-shard RNG streams.
-  std::uint64_t seed = sim::ShardGroup::kDefaultSeed;
 };
 
 class HyperTester {
  public:
+  /// A standalone tester: it owns a private one-shard group, the legacy
+  /// single-queue engine run inline on the calling thread (DESIGN.md §13).
   explicit HyperTester(TesterConfig cfg = {});
   /// Place the tester on a shard of an existing ShardGroup (used by
   /// TesterCluster, core/cluster.hpp). All of the tester's components run
-  /// on that shard's queue and allocate from that shard's packet pool;
-  /// cfg.shards/cfg.seed are ignored (the group decides both).
+  /// on that shard's queue and allocate from that shard's packet pool.
   HyperTester(TesterConfig cfg, sim::Shard& shard);
 
   // --- infrastructure access -------------------------------------------------
@@ -63,7 +55,7 @@ class HyperTester {
   /// The shard this tester's components execute on.
   sim::Shard& home_shard() { return *home_; }
   /// The engine driving this tester: its own internal group (standalone)
-  /// or the cluster's (placed). run_for/run_with_retry advance it.
+  /// or the cluster's (placed). run_for advances it.
   sim::ShardGroup& shard_group() { return home_->group(); }
   const sim::ShardGroup& shard_group() const { return home_->group(); }
   rmt::SwitchAsic& asic() { return asic_; }
@@ -75,7 +67,8 @@ class HyperTester {
   // --- telemetry -------------------------------------------------------------
   /// The tester-wide metrics registry (owned by the ASIC; every attached
   /// component registers there — DESIGN.md §10). Single source of truth
-  /// for counters, gauges, latency histograms, and the drop audit trail.
+  /// for counters, gauges, latency histograms, and the drop audit trail
+  /// (metrics().drop_counters()).
   telemetry::MetricsRegistry& metrics() { return asic_.metrics(); }
   const telemetry::MetricsRegistry& metrics() const { return asic_.metrics(); }
   /// Chrome-trace recorder; enable before run_for to capture a timeline.
@@ -109,29 +102,6 @@ class HyperTester {
     std::unique_ptr<sim::FaultInjector> injector;
   };
   const std::vector<ChaosLink>& chaos_links() const { return chaos_links_; }
-
-  /// Every drop/overflow/corruption counter of the testbed in one flat
-  /// report: ASIC pipeline + digest + per-port MAC counters, trigger-FIFO
-  /// overflows, lost control-plane RPCs, HTPR integrity rejections, and
-  /// the chaos injectors' stats. Derived from the metrics registry (every
-  /// entry registered with a drop_source, in registration order) — the
-  /// registry is the single source of truth, this is the flat view.
-  std::vector<sim::DropCounter> drop_report() const;
-
-  /// run_for with supervision: advances in `policy.timeout_ns` slices and
-  /// watches a progress counter (default: packets received on the
-  /// front-panel ports). A stalled slice is retried after a capped
-  /// exponential backoff — sim time keeps advancing, so a link flap can
-  /// end during the backoff and the task resumes. Returns nullopt when
-  /// the run completes; a FailureReport when progress never resumed (the
-  /// report is also appended to failure_log()).
-  std::optional<sim::FailureReport> run_with_retry(
-      sim::TimeNs duration, sim::RetryPolicy policy,
-      std::function<std::uint64_t()> progress = {});
-
-  /// Failure reports accumulated by run_with_retry, most recent last —
-  /// `ntapi_cli stats` and the Supervisor surface these.
-  const std::vector<sim::FailureReport>& failure_log() const { return failure_log_; }
 
   // --- run lifecycle: crash faults + snapshots (DESIGN.md §14) ---------------
   /// Tester process death: every front-panel and recirculation port goes
@@ -207,9 +177,6 @@ class HyperTester {
   // --- run lifecycle ---------------------------------------------------------
   bool crashed_ = false;
   std::uint64_t crash_events_ = 0;
-  std::uint64_t run_retries_ = 0;
-  std::uint64_t run_failures_ = 0;
-  std::vector<sim::FailureReport> failure_log_;
 };
 
 }  // namespace ht

@@ -27,9 +27,9 @@ SwitchAsic::SwitchAsic(sim::EventQueue& ev, AsicConfig cfg)
 }
 
 void SwitchAsic::register_device_metrics() {
-  // Registration order matters: drop_counters() reports in this order, and
-  // the first three plus the per-port trio reproduce the historical
-  // SwitchAsic::drop_counters() layout exactly.
+  // Registration order matters: metrics().drop_counters() reports in this
+  // order, with the pipeline drops first and the per-port trio after the
+  // device-wide counters.
   ingress_packets_ = &metrics_.counter("ht_asic_ingress_packets_total",
                                        {.help = "packets entering the ingress pipeline"});
   egress_packets_ = &metrics_.counter("ht_asic_egress_packets_total",
@@ -143,12 +143,6 @@ void SwitchAsic::enter_ingress(net::PacketPtr pkt) {
     return;
   }
   run_ingress(std::move(pkt));
-}
-
-std::vector<sim::DropCounter> SwitchAsic::drop_counters() const {
-  std::vector<sim::DropCounter> out;
-  for (auto& [source, count] : metrics_.drop_counters()) out.push_back({source, count});
-  return out;
 }
 
 void SwitchAsic::run_ingress(net::PacketPtr pkt) {

@@ -137,13 +137,6 @@ class SwitchAsic {
   std::uint64_t replicas_created() const { return replicas_->value(); }
   std::uint64_t injected_drops() const { return injected_drops_->value(); }
 
-  /// Every drop/overflow path registered on the device registry in one flat
-  /// report: pipeline drops, injected drops, digest-queue drops, per-port
-  /// MAC counters (queue-full, no-peer, FCS), plus whatever attached
-  /// components (HTPR integrity gates, chaos links, FIFOs) registered.
-  /// Compat adapter over metrics().drop_counters().
-  std::vector<sim::DropCounter> drop_counters() const;
-
  private:
   /// One multicast replica headed for egress.
   struct EgressReplica {

@@ -99,15 +99,6 @@ void FaultInjector::process(net::PacketPtr pkt, Port& dst) {
   dst.deliver(std::move(pkt));
 }
 
-void FaultInjector::append_drop_counters(const std::string& link,
-                                         std::vector<DropCounter>& out) const {
-  out.push_back({link + ".fault_lost", stats_.lost});
-  out.push_back({link + ".fault_flap_drops", stats_.flap_drops});
-  out.push_back({link + ".fault_corrupted", stats_.corrupted});
-  out.push_back({link + ".fault_duplicated", stats_.duplicated});
-  out.push_back({link + ".fault_reordered", stats_.reordered});
-}
-
 const char* to_string(CrashKind kind) {
   switch (kind) {
     case CrashKind::kTesterCrash: return "tester_crash";

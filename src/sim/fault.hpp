@@ -25,7 +25,7 @@
 // This header also defines the control-plane degradation vocabulary used
 // across the stack: RetryPolicy (timeout + capped exponential backoff)
 // and FailureReport (the structured give-up record emitted by
-// switchcpu::PeriodicPoller and core::HyperTester).
+// switchcpu::PeriodicPoller).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,6 @@
 #include "net/packet.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace ht::sim {
@@ -152,10 +151,6 @@ class FaultInjector {
   /// Exposed for tests; attach() routes the Port wire hook here.
   void process(net::PacketPtr pkt, Port& dst);
 
-  /// This injector's contribution to an aggregated drop report, prefixed
-  /// with `link` (e.g. "link1->dut").
-  void append_drop_counters(const std::string& link, std::vector<DropCounter>& out) const;
-
  private:
   void arm_flaps();
   bool draw_loss();
@@ -226,17 +221,15 @@ struct RetryPolicy {
   }
 };
 
-/// Structured give-up record: what faulted, when, and the relevant
-/// counters before the first attempt and at give-up time, so the caller
-/// can see exactly how much progress was lost.
+/// Structured give-up record: what faulted, when it was first tried, and
+/// when the caller gave up. The drop audit trail at give-up time is the
+/// owner's metrics registry (MetricsRegistry::drop_counters()).
 struct FailureReport {
-  std::string component;  ///< e.g. "PeriodicPoller", "HyperTester"
+  std::string component;  ///< e.g. "PeriodicPoller"
   std::string what;       ///< human-readable description of the failure
   TimeNs first_attempt_ns = 0;
   TimeNs gave_up_ns = 0;
   unsigned attempts = 0;
-  std::vector<DropCounter> counters_before;
-  std::vector<DropCounter> counters_after;
 };
 
 /// One-paragraph rendering for logs:

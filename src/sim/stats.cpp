@@ -61,62 +61,6 @@ double percentile(std::vector<double> samples, double p) {
   return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), bins_(bins, 0) {
-  if (bins == 0 || hi <= lo) throw std::invalid_argument("Histogram: bad range");
-}
-
-void Histogram::push(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  ++bins_[static_cast<std::size_t>((x - lo_) / width_)];
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  return lo_ + (static_cast<double>(i) + 0.5) * width_;
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = static_cast<double>(underflow_);
-  if (target <= cum) return lo_;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    const double next = cum + static_cast<double>(bins_[i]);
-    if (target <= next && bins_[i] > 0) {
-      const double frac = (target - cum) / static_cast<double>(bins_[i]);
-      return lo_ + (static_cast<double>(i) + frac) * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-std::uint64_t total_drops(const std::vector<DropCounter>& report) {
-  std::uint64_t total = 0;
-  for (const DropCounter& c : report) total += c.count;
-  return total;
-}
-
-std::string format_drop_report(const std::vector<DropCounter>& report, bool include_zero) {
-  std::string out;
-  for (const DropCounter& c : report) {
-    if (c.count == 0 && !include_zero) continue;
-    char line[128];
-    std::snprintf(line, sizeof(line), "  %s: %llu\n", c.source.c_str(),
-                  static_cast<unsigned long long>(c.count));
-    out += line;
-  }
-  return out.empty() ? "no drops" : out;
-}
-
 std::string format_alloc_cache(const AllocCacheReport& report) {
   char line[160];
   std::snprintf(line, sizeof(line),

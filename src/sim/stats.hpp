@@ -53,24 +53,6 @@ std::vector<double> inter_departure_times(const std::vector<std::uint64_t>& time
 /// Exact percentile (nearest-rank) of a sample set; p in [0,100].
 double percentile(std::vector<double> samples, double p);
 
-/// Fixed-width histogram for distribution checks (Q-Q support).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void push(double x);
-  std::uint64_t total() const { return total_; }
-  const std::vector<std::uint64_t>& bins() const { return bins_; }
-  double bin_center(std::size_t i) const;
-  /// Empirical quantile via linear interpolation over the CDF; q in (0,1).
-  double quantile(double q) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> bins_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0, overflow_ = 0;
-};
-
 /// Uniform view over the hot-path allocation caches (net::PacketPool
 /// freelist, EventQueue event-node slab). The owning layers expose their own
 /// stats structs — net cannot depend on sim — so callers adapt into this
@@ -89,24 +71,5 @@ struct AllocCacheReport {
 /// One-line human-readable rendering, e.g.
 /// "packet-pool: 99.8% hit (12345 hit / 25 miss), high-water 31".
 std::string format_alloc_cache(const AllocCacheReport& report);
-
-/// One named drop/overflow/corruption counter from anywhere in the stack
-/// (port MAC queues, ASIC, digest engine, register FIFOs, fault
-/// injectors). The layers expose their own getters; aggregators (e.g.
-/// HyperTester::drop_report) adapt them into one flat report so no loss
-/// path is silent — the report is the audit trail for every packet that
-/// went missing.
-struct DropCounter {
-  std::string source;  ///< e.g. "port1.queue_full", "trigfifo.0.overflow"
-  std::uint64_t count = 0;
-};
-
-/// Sum over the report; 0 means a fully clean run.
-std::uint64_t total_drops(const std::vector<DropCounter>& report);
-
-/// Multi-line rendering ("  source: count"), omitting zero counters
-/// unless `include_zero`. Returns "no drops" when everything is clean.
-std::string format_drop_report(const std::vector<DropCounter>& report,
-                               bool include_zero = false);
 
 }  // namespace ht::sim

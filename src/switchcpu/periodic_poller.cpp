@@ -18,7 +18,7 @@ void PeriodicPoller::poll() {
   if (!running_) return;
   auto& ev = controller_.asic().events();
   if (retry_enabled_) {
-    issue_attempt(ev.now(), 0, {{"controller.rpc_lost", controller_.rpc_lost()}});
+    issue_attempt(ev.now(), 0);
   } else {
     Sample sample;
     sample.requested_at = ev.now();
@@ -33,8 +33,7 @@ void PeriodicPoller::poll() {
   ev.schedule_in(period_, [this] { poll(); });
 }
 
-void PeriodicPoller::issue_attempt(sim::TimeNs first_requested, unsigned attempt,
-                                   std::vector<sim::DropCounter> before) {
+void PeriodicPoller::issue_attempt(sim::TimeNs first_requested, unsigned attempt) {
   auto& ev = controller_.asic().events();
   // One settled flag per attempt: set by whichever of {delivery, timeout}
   // wins, so a straggler delivery after the deadline is discarded instead
@@ -52,8 +51,7 @@ void PeriodicPoller::issue_attempt(sim::TimeNs first_requested, unsigned attempt
         samples_.push_back(std::move(sample));
         if (on_sample) on_sample(samples_.back());
       });
-  ev.schedule_in(policy_.timeout_ns,
-                 [this, settled, first_requested, attempt, before = std::move(before)]() mutable {
+  ev.schedule_in(policy_.timeout_ns, [this, settled, first_requested, attempt] {
     if (*settled) return;
     *settled = true;
     ++timeouts_;
@@ -61,9 +59,8 @@ void PeriodicPoller::issue_attempt(sim::TimeNs first_requested, unsigned attempt
     if (attempt < policy_.max_retries) {
       ++retries_;
       controller_.asic().events().schedule_in(
-          policy_.backoff(attempt),
-          [this, first_requested, attempt, before = std::move(before)]() mutable {
-            if (running_) issue_attempt(first_requested, attempt + 1, std::move(before));
+          policy_.backoff(attempt), [this, first_requested, attempt] {
+            if (running_) issue_attempt(first_requested, attempt + 1);
           });
       return;
     }
@@ -73,8 +70,6 @@ void PeriodicPoller::issue_attempt(sim::TimeNs first_requested, unsigned attempt
     report.first_attempt_ns = first_requested;
     report.gave_up_ns = controller_.asic().events().now();
     report.attempts = attempt + 1;
-    report.counters_before = std::move(before);
-    report.counters_after = {{"controller.rpc_lost", controller_.rpc_lost()}};
     ++failures_;
     failure_reports_.push_back(std::move(report));
     if (on_failure) on_failure(failure_reports_.back());

@@ -71,8 +71,7 @@ class PeriodicPoller {
 
  private:
   void poll();
-  void issue_attempt(sim::TimeNs first_requested, unsigned attempt,
-                     std::vector<sim::DropCounter> before);
+  void issue_attempt(sim::TimeNs first_requested, unsigned attempt);
 
   Controller& controller_;
   std::string reg_;

@@ -19,8 +19,8 @@
 //    members (ASIC drop counters, port MAC counters, HTPR integrity
 //    counters) either live in the registry directly or are *mirrored*
 //    into it with a sampling callback, so every report — Prometheus
-//    text, JSON dump, the flat sim::DropCounter audit trail — is derived
-//    from one place and cannot diverge.
+//    text, JSON dump, the drop audit trail (drop_counters()) — is
+//    derived from one place and cannot diverge.
 //
 // Naming scheme: `ht_<component>_<name>` with Prometheus-style labels,
 // e.g. `ht_port_wire_latency_ns{port="1"}` (DESIGN.md §10).
@@ -148,9 +148,7 @@ struct MetricOpts {
   std::string help;
   /// When set, this metric is part of the drop/overflow/corruption audit
   /// trail under this legacy source name (e.g. "port1.queue_full") and is
-  /// returned by MetricsRegistry::drop_counters() — the registry-backed
-  /// replacement for the bespoke flat-report assembly that used to live
-  /// in SwitchAsic::drop_counters() and HyperTester::drop_report().
+  /// returned by MetricsRegistry::drop_counters().
   std::string drop_source;
 };
 

@@ -186,7 +186,7 @@ ChaosSnapshot chaos_golden_run() {
     snap.port_counters.push_back(port.rx_packets());
     snap.port_counters.push_back(port.rx_bytes());
   }
-  for (const auto& c : loop.tester.drop_report()) snap.drops.emplace_back(c.source, c.count);
+  snap.drops = loop.tester.metrics().drop_counters();
   for (const std::string& name : loop.tester.asic().registers().names()) {
     const auto& arr = loop.tester.asic().registers().get(name);
     std::vector<std::uint64_t> cells(arr.size());

@@ -3,18 +3,23 @@
 // Covers the FaultInjector pathologies one by one on a raw wire, the
 // fault hooks threaded through the stack (Port FCS, RegisterFifo
 // overflow, ASIC ingress), the control-plane retry/timeout machinery
-// (Controller RPC loss, PeriodicPoller backoff + FailureReport), and the
-// HyperTester-level run_with_retry supervision. Everything here is
-// seeded: the suite doubles as the injector's determinism contract.
+// (Controller RPC loss, PeriodicPoller backoff + FailureReport), the
+// registry's drop audit trail for chaos links, and Supervisor stall
+// detection when a link dies mid-task. Everything here is seeded: the
+// suite doubles as the injector's determinism contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "apps/tasks.hpp"
+#include "core/cluster.hpp"
 #include "core/hypertester.hpp"
+#include "core/supervisor.hpp"
 #include "dut/forwarder.hpp"
 #include "net/headers.hpp"
 #include "net/packet.hpp"
@@ -237,24 +242,6 @@ TEST(FaultInjector, IdenticalSeedsProduceIdenticalRuns) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(FaultInjector, DropCountersExposeEveryPathology) {
-  Wire w;
-  sim::FaultConfig cfg;
-  cfg.seed = 18;
-  cfg.loss.rate = 0.3;
-  sim::FaultInjector inj(w.ev, cfg);
-  inj.attach(w.a);
-  w.send_burst(500);
-  std::vector<sim::DropCounter> report;
-  inj.append_drop_counters("port0.tx", report);
-  ASSERT_EQ(report.size(), 5u);
-  EXPECT_EQ(report[0].source, "port0.tx.fault_lost");
-  EXPECT_EQ(report[0].count, inj.stats().lost);
-  EXPECT_GT(sim::total_drops(report), 0u);
-  EXPECT_NE(sim::format_drop_report(report).find("fault_lost"), std::string::npos);
-  EXPECT_EQ(sim::format_drop_report({}), "no drops");
-}
-
 TEST(RetryPolicy, BackoffIsCappedExponential) {
   sim::RetryPolicy p;
   p.backoff_base_ns = 100;
@@ -320,12 +307,11 @@ TEST(AsicFaults, IngressFaultHookDropsAndCounts) {
   bed.ev.run_until(sim::us(10));
   EXPECT_EQ(bed.asic.ingress_packets(), 0u);
   EXPECT_EQ(bed.asic.injected_drops(), 1u);
-  const auto report = bed.asic.drop_counters();
-  const auto it = std::find_if(report.begin(), report.end(), [](const sim::DropCounter& c) {
-    return c.source == "asic.injected_drops";
-  });
+  const auto report = bed.asic.metrics().drop_counters();
+  const auto it = std::find_if(report.begin(), report.end(),
+                               [](const auto& c) { return c.first == "asic.injected_drops"; });
   ASSERT_NE(it, report.end());
-  EXPECT_EQ(it->count, 1u);
+  EXPECT_EQ(it->second, 1u);
 }
 
 TEST(PollerRetry, TotalRpcLossExhaustsRetriesIntoFailureReport) {
@@ -418,46 +404,87 @@ TEST(HyperTesterRetry, SurvivesMidTaskLinkFlap) {
   app.task.set_chaos(chaos);
   ChaosTestbed bed(app.task);
   bed.tester.start();
-  sim::RetryPolicy policy;
-  policy.timeout_ns = sim::us(20);
-  policy.max_retries = 10;
-  policy.backoff_base_ns = sim::us(10);
-  policy.backoff_cap_ns = sim::us(40);
-  const auto failure = bed.tester.run_with_retry(sim::us(350), policy);
-  EXPECT_FALSE(failure.has_value()) << sim::format_failure(*failure);
+  bed.tester.run_for(sim::us(350));
   // Probes kept flowing after the flap; the dropped window is visible in
-  // the aggregated report, not silently missing.
+  // the drop audit trail, not silently missing.
   EXPECT_GT(bed.tester.query_matched(app.q_received), 500u);
-  const auto report = bed.tester.drop_report();
   std::uint64_t flap_drops = 0;
-  for (const auto& c : report) {
-    if (c.source.find("fault_flap_drops") != std::string::npos) flap_drops += c.count;
+  for (const auto& [source, count] : bed.tester.metrics().drop_counters()) {
+    if (source.find("fault_flap_drops") != std::string::npos) flap_drops += count;
   }
   EXPECT_GT(flap_drops, 0u);
 }
 
-TEST(HyperTesterRetry, PermanentLinkFailureYieldsFailureReport) {
-  auto app = apps::loss_test(0x02020202, 0x01010101, {0}, {1}, 5000, 200);
-  ntapi::ChaosSpec chaos;
-  chaos.config.seed = 22;
-  chaos.config.flap = {.first_down_at = sim::us(50), .down_ns = sim::ms(100),
-                       .period_ns = 0, .count = 1};
-  app.task.set_chaos(chaos);
-  ChaosTestbed bed(app.task);
-  bed.tester.start();
-  sim::RetryPolicy policy;
-  policy.timeout_ns = sim::us(20);
-  policy.max_retries = 3;
-  policy.backoff_base_ns = sim::us(10);
-  policy.backoff_cap_ns = sim::us(20);
-  const auto failure = bed.tester.run_with_retry(sim::us(500), policy);
-  ASSERT_TRUE(failure.has_value());
-  EXPECT_EQ(failure->component, "HyperTester");
-  EXPECT_EQ(failure->attempts, 4u);  // 1 + max_retries
-  EXPECT_GT(failure->gave_up_ns, failure->first_attempt_ns);
-  // The report carries the counter delta: drops piled up while it retried.
-  EXPECT_GT(sim::total_drops(failure->counters_after),
-            sim::total_drops(failure->counters_before));
+/// ChaosTestbed's wiring as a Supervisor builder: the same tester and
+/// forwarder on a one-shard cluster, with a progress probe on the
+/// receive-side query. The default probe counts front-panel tx+rx, and a
+/// tester keeps transmitting into a dead link, so only the receive side
+/// shows that the measurement stalled.
+Testbed build_loss_testbed(const apps::LossTest& app) {
+  Testbed tb;
+  tb.cluster = std::make_unique<TesterCluster>();
+  TesterConfig cfg;
+  cfg.asic.num_ports = 2;
+  HyperTester& tester = tb.cluster->add_tester(cfg, 0);
+  dut::Forwarder::Config fcfg;
+  fcfg.num_ports = 2;
+  fcfg.forward_delay_ns = 600.0;
+  auto fwd = std::make_shared<dut::Forwarder>(tester.events(), fcfg);
+  for (std::uint16_t p = 0; p < 2; ++p) {
+    tester.asic().port(p).connect(&fwd->port(p));
+    fwd->port(p).connect(&tester.asic().port(p));
+  }
+  tester.load(app.task);
+  tester.start();
+  tb.progress = [&tester, q = app.q_received] { return tester.query_matched(q); };
+  tb.keepalive = fwd;
+  return tb;
+}
+
+TEST(SupervisorStall, PermanentLinkFlapOpensInvalidWindow) {
+  constexpr sim::TimeNs kFlapAt = sim::us(50);
+  constexpr sim::TimeNs kRun = sim::us(500);
+  SupervisorConfig scfg;
+  scfg.heartbeat_ns = sim::us(20);
+  scfg.miss_threshold = 3;
+  scfg.policy = SupervisorConfig::Policy::kDegrade;
+  const auto supervise = [&](bool flap) {
+    auto app = apps::loss_test(0x02020202, 0x01010101, {0}, {1}, 5000, 200);
+    if (flap) {
+      ntapi::ChaosSpec chaos;
+      chaos.config.seed = 22;
+      chaos.config.flap = {.first_down_at = kFlapAt, .down_ns = sim::ms(100), .period_ns = 0,
+                           .count = 1};
+      app.task.set_chaos(chaos);
+    }
+    Supervisor sup(scfg, [app](std::size_t) { return build_loss_testbed(app); });
+    return sup.run(kRun);
+  };
+
+  // Control: with the link up, every heartbeat sees new probes arrive.
+  const RecoveryReport clean = supervise(false);
+  EXPECT_EQ(clean.misses, 0u);
+  EXPECT_TRUE(clean.invalid_windows.empty());
+
+  const RecoveryReport report = supervise(true);
+  ASSERT_TRUE(report.completed);
+  ASSERT_EQ(report.actions.size(), 1u);
+  const RecoveryAction& action = report.actions[0];
+  EXPECT_EQ(action.policy, SupervisorConfig::Policy::kDegrade);
+  EXPECT_FALSE(action.recovered);
+  // Probes already past the flap still land during the heartbeat that
+  // contains it; from the next heartbeat on the probe is frozen, and the
+  // supervisor acts exactly miss_threshold heartbeats later — never
+  // earlier.
+  const sim::TimeNs first_dead_beat = (kFlapAt / scfg.heartbeat_ns + 1) * scfg.heartbeat_ns;
+  const sim::TimeNs threshold = scfg.miss_threshold * scfg.heartbeat_ns;
+  EXPECT_GE(action.detected_at_ns, kFlapAt + threshold);
+  EXPECT_LE(action.detected_at_ns, first_dead_beat + threshold);
+  // The invalid window covers every frozen heartbeat through the deadline.
+  ASSERT_EQ(report.invalid_windows.size(), 1u);
+  EXPECT_LE(report.invalid_windows[0].from_ns, first_dead_beat);
+  EXPECT_EQ(report.invalid_windows[0].to_ns, kRun);
+  EXPECT_EQ(report.recoveries, 0u);
 }
 
 TEST(HyperTesterRetry, DropReportCoversEveryLayer) {
@@ -469,10 +496,10 @@ TEST(HyperTesterRetry, DropReportCoversEveryLayer) {
   ChaosTestbed bed(app.task);
   bed.tester.start();
   bed.tester.run_for(sim::us(400));
-  const auto report = bed.tester.drop_report();
+  const auto report = bed.tester.metrics().drop_counters();
   auto has = [&report](const std::string& source) {
     return std::any_of(report.begin(), report.end(),
-                       [&](const sim::DropCounter& c) { return c.source == source; });
+                       [&](const auto& c) { return c.first == source; });
   };
   // One flat report spans the ASIC, the MACs, the control plane, and the
   // chaos links.
@@ -484,11 +511,42 @@ TEST(HyperTesterRetry, DropReportCoversEveryLayer) {
   EXPECT_TRUE(has("port0.tx.fault_lost"));
   // And the injected loss is in it — nothing dropped silently.
   std::uint64_t fault_lost = 0;
-  for (const auto& c : report) {
-    if (c.source.find("fault_lost") != std::string::npos) fault_lost += c.count;
+  for (const auto& [source, count] : report) {
+    if (source.find("fault_lost") != std::string::npos) fault_lost += count;
   }
   EXPECT_GT(fault_lost, 0u);
   EXPECT_EQ(bed.tester.chaos_links().size(), 4u);  // tx+rx per connected port
+}
+
+TEST(FaultInjector, DropCountersExposeEveryPathology) {
+  auto app = apps::loss_test(0x02020202, 0x01010101, {0}, {1}, 500, 200);
+  ntapi::ChaosSpec chaos;
+  chaos.config.seed = 18;
+  chaos.config.loss.rate = 0.3;
+  app.task.set_chaos(chaos);
+  ChaosTestbed bed(app.task);
+  bed.tester.start();
+  bed.tester.run_for(sim::us(200));
+  // Every chaos link contributes all five pathology counters to the
+  // registry's audit trail, each equal to its injector's own stat.
+  const auto report = bed.tester.metrics().drop_counters();
+  const auto count_of = [&report](const std::string& source) -> std::optional<std::uint64_t> {
+    for (const auto& [s, n] : report) {
+      if (s == source) return n;
+    }
+    return std::nullopt;
+  };
+  std::uint64_t lost = 0;
+  for (const auto& link : bed.tester.chaos_links()) {
+    const sim::FaultStats& st = link.injector->stats();
+    EXPECT_EQ(count_of(link.name + ".fault_lost"), st.lost);
+    EXPECT_EQ(count_of(link.name + ".fault_flap_drops"), st.flap_drops);
+    EXPECT_EQ(count_of(link.name + ".fault_corrupted"), st.corrupted);
+    EXPECT_EQ(count_of(link.name + ".fault_duplicated"), st.duplicated);
+    EXPECT_EQ(count_of(link.name + ".fault_reordered"), st.reordered);
+    lost += st.lost;
+  }
+  EXPECT_GT(lost, 0u);
 }
 
 }  // namespace

@@ -5,7 +5,11 @@
 // uniformity across seeds.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <ostream>
+#include <type_traits>
 
 #include "htpr/false_positive.hpp"
 #include "htps/inverse_transform.hpp"
@@ -24,15 +28,21 @@ using net::FieldId;
 
 // --- packet round-trips over the full protocol/size grid ----------------------
 
+// gtest names each case by dumping the struct's bytes, so the struct must
+// have no padding: uninitialised padding bytes made the case names (and the
+// ctest names built from them) change from one run to the next.
 struct PacketCase {
   net::HeaderKind l4;
+  std::array<std::uint8_t, 7> zero{};
   std::size_t size;
 };
+static_assert(std::has_unique_object_representations_v<PacketCase>);
 
 class PacketRoundTrip : public ::testing::TestWithParam<PacketCase> {};
 
 TEST_P(PacketRoundTrip, BuildParseDeparsePreservesFields) {
-  const auto [l4, size] = GetParam();
+  const net::HeaderKind l4 = GetParam().l4;
+  const std::size_t size = GetParam().size;
   net::PacketBuilder builder(l4, size);
   builder.set(FieldId::kIpv4Sip, 0x0A0B0C0D).set(FieldId::kIpv4Dip, 0x01020304);
   net::Packet pkt = builder.build();
@@ -52,14 +62,14 @@ TEST_P(PacketRoundTrip, BuildParseDeparsePreservesFields) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, PacketRoundTrip,
-                         ::testing::Values(PacketCase{net::HeaderKind::kUdp, 64},
-                                           PacketCase{net::HeaderKind::kUdp, 128},
-                                           PacketCase{net::HeaderKind::kUdp, 1500},
-                                           PacketCase{net::HeaderKind::kTcp, 64},
-                                           PacketCase{net::HeaderKind::kTcp, 512},
-                                           PacketCase{net::HeaderKind::kTcp, 1500},
-                                           PacketCase{net::HeaderKind::kIcmp, 64},
-                                           PacketCase{net::HeaderKind::kIcmp, 256}));
+                         ::testing::Values(PacketCase{.l4 = net::HeaderKind::kUdp, .size = 64},
+                                           PacketCase{.l4 = net::HeaderKind::kUdp, .size = 128},
+                                           PacketCase{.l4 = net::HeaderKind::kUdp, .size = 1500},
+                                           PacketCase{.l4 = net::HeaderKind::kTcp, .size = 64},
+                                           PacketCase{.l4 = net::HeaderKind::kTcp, .size = 512},
+                                           PacketCase{.l4 = net::HeaderKind::kTcp, .size = 1500},
+                                           PacketCase{.l4 = net::HeaderKind::kIcmp, .size = 64},
+                                           PacketCase{.l4 = net::HeaderKind::kIcmp, .size = 256}));
 
 // --- FIFO semantics across geometries ------------------------------------------
 
@@ -106,16 +116,21 @@ INSTANTIATE_TEST_SUITE_P(Geometries, FifoSweep,
 
 // --- counter-store exactness across geometries ---------------------------------
 
+// No padding, for the same reason as PacketCase.
 struct StoreCase {
   std::size_t buckets;
-  unsigned digest_bits;
+  std::uint32_t digest_bits;
+  std::uint32_t zero = 0;
   std::size_t flows;
 };
+static_assert(std::has_unique_object_representations_v<StoreCase>);
 
 class CounterStoreSweep : public ::testing::TestWithParam<StoreCase> {};
 
 TEST_P(CounterStoreSweep, ExactnessHoldsForEveryGeometry) {
-  const auto [buckets, digest, flows] = GetParam();
+  const std::size_t buckets = GetParam().buckets;
+  const unsigned digest = GetParam().digest_bits;
+  const std::size_t flows = GetParam().flows;
   sim::EventQueue ev;
   rmt::SwitchAsic asic(ev, rmt::AsicConfig{.num_ports = 2});
   htpr::CounterStoreConfig cfg;
@@ -155,12 +170,13 @@ TEST_P(CounterStoreSweep, ExactnessHoldsForEveryGeometry) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Geometries, CounterStoreSweep,
-                         ::testing::Values(StoreCase{1 << 8, 16, 2'000},
-                                           StoreCase{1 << 10, 16, 5'000},
-                                           StoreCase{1 << 12, 16, 10'000},
-                                           StoreCase{1 << 10, 32, 5'000},
-                                           StoreCase{1 << 12, 32, 20'000}));
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CounterStoreSweep,
+    ::testing::Values(StoreCase{.buckets = 1 << 8, .digest_bits = 16, .flows = 2'000},
+                      StoreCase{.buckets = 1 << 10, .digest_bits = 16, .flows = 5'000},
+                      StoreCase{.buckets = 1 << 12, .digest_bits = 16, .flows = 10'000},
+                      StoreCase{.buckets = 1 << 10, .digest_bits = 32, .flows = 5'000},
+                      StoreCase{.buckets = 1 << 12, .digest_bits = 32, .flows = 20'000}));
 
 // --- inverse-transform moments across distributions ------------------------------
 
@@ -170,6 +186,12 @@ struct DistCase {
   double expect_mean;
   double expect_stddev;  // < 0 = don't check
 };
+
+// Names the case by its fields; the default byte dump would include the
+// address of `name`, which differs from run to run.
+void PrintTo(const DistCase& c, std::ostream* os) {
+  *os << c.name << '_' << c.p1 << '_' << c.p2;
+}
 
 class InverseTransformSweep : public ::testing::TestWithParam<DistCase> {};
 

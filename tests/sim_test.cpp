@@ -193,13 +193,6 @@ TEST(Percentile, Interpolates) {
   EXPECT_NEAR(percentile(xs, 100), 100.0, 1e-9);
 }
 
-TEST(Histogram, QuantilesOfUniform) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100000; ++i) h.push((i % 1000) / 10.0);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
 TEST(Rng, Deterministic) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
