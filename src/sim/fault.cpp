@@ -1,6 +1,5 @@
 #include "sim/fault.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "sim/port.hpp"
@@ -107,15 +106,6 @@ const char* to_string(CrashKind kind) {
     case CrashKind::kShardStall: return "shard_stall";
   }
   return "unknown";
-}
-
-std::string format_failure(const FailureReport& report) {
-  char line[256];
-  std::snprintf(line, sizeof(line), "%s: %s (%u attempts, t=%llu..%llu ns)",
-                report.component.c_str(), report.what.c_str(), report.attempts,
-                static_cast<unsigned long long>(report.first_attempt_ns),
-                static_cast<unsigned long long>(report.gave_up_ns));
-  return line;
 }
 
 }  // namespace ht::sim

@@ -21,11 +21,6 @@
 // fixed per-packet order, and draws only for pathologies whose rate is
 // non-zero. Two runs with identical seeds and identical traffic are
 // bit-identical (pinned by tests/fault_test.cpp).
-//
-// This header also defines the control-plane degradation vocabulary used
-// across the stack: RetryPolicy (timeout + capped exponential backoff)
-// and FailureReport (the structured give-up record emitted by
-// switchcpu::PeriodicPoller).
 #pragma once
 
 #include <cstdint>
@@ -203,37 +198,5 @@ struct CrashPlan {
   std::vector<CrashEvent> events;
   bool any() const { return !events.empty(); }
 };
-
-/// Timeout + capped exponential backoff for control-plane operations
-/// (register reads, task phases). `backoff(0)` is the delay before the
-/// first retry; each further retry doubles it up to `backoff_cap_ns`.
-struct RetryPolicy {
-  TimeNs timeout_ns = 1'000'000;      ///< per-attempt deadline (1 ms)
-  unsigned max_retries = 4;           ///< retries after the first attempt
-  TimeNs backoff_base_ns = 100'000;   ///< first retry delay (100 us)
-  TimeNs backoff_cap_ns = 10'000'000; ///< backoff saturation (10 ms)
-
-  TimeNs backoff(unsigned retry) const {
-    // Shift with saturation: past 63 doublings everything is capped.
-    if (retry >= 63) return backoff_cap_ns;
-    const TimeNs d = backoff_base_ns << retry;
-    return d > backoff_cap_ns || d < backoff_base_ns ? backoff_cap_ns : d;
-  }
-};
-
-/// Structured give-up record: what faulted, when it was first tried, and
-/// when the caller gave up. The drop audit trail at give-up time is the
-/// owner's metrics registry (MetricsRegistry::drop_counters()).
-struct FailureReport {
-  std::string component;  ///< e.g. "PeriodicPoller"
-  std::string what;       ///< human-readable description of the failure
-  TimeNs first_attempt_ns = 0;
-  TimeNs gave_up_ns = 0;
-  unsigned attempts = 0;
-};
-
-/// One-paragraph rendering for logs:
-/// "PeriodicPoller: register read 'ctr' timed out (5 attempts, 1.2ms..9.8ms)".
-std::string format_failure(const FailureReport& report);
 
 }  // namespace ht::sim

@@ -8,6 +8,42 @@
 
 namespace ht::sim {
 
+namespace {
+
+/// Polls of a barrier word before the waiter parks in std::atomic::wait,
+/// about 6 us of `pause` on a current Xeon. A short epoch on a host with a
+/// core per shard ends inside the spin, so nobody pays a futex round trip;
+/// on an oversubscribed host (8 shards on 4 cores) a longer spin only keeps
+/// the shard being waited for off its core.
+constexpr unsigned kSpinIterations = 256;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spin-then-park until `done(word)` holds; returns the value that
+/// satisfied it. Every load is acquire, so the waiter sees whatever the
+/// thread that stored that value wrote before its release.
+template <class Done>
+std::uint32_t await(const std::atomic<std::uint32_t>& word, Done done) {
+  std::uint32_t v = word.load(std::memory_order_acquire);
+  for (unsigned i = 0; !done(v) && i < kSpinIterations; ++i) {
+    cpu_relax();
+    v = word.load(std::memory_order_acquire);
+  }
+  while (!done(v)) {
+    word.wait(v, std::memory_order_acquire);
+    v = word.load(std::memory_order_acquire);
+  }
+  return v;
+}
+
+}  // namespace
+
 Shard::~Shard() {
   // Pending events hold packet references (in-flight deliveries,
   // recirculation loops); a testbed discarded mid-run — e.g. replaced by
@@ -32,11 +68,9 @@ ShardGroup::ShardGroup(std::size_t shards, std::uint64_t run_seed) : run_seed_(r
 }
 
 ShardGroup::~ShardGroup() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
+  stop_ = true;
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -89,9 +123,9 @@ std::uint64_t ShardGroup::run_until(TimeNs deadline) {
     executed += run_shards_until(target);
     epoch_now_ = std::max(epoch_now_, target);
     ++stats_.epochs;
-    // Barrier: workers are parked, so the drain below — including packet
-    // transfers that touch both shards' pools — is race-free by phase
-    // separation (the condvar round-trip orders it against epoch work).
+    // Barrier: every worker has published its epoch and waits for the next
+    // generation, so the drain below — including packet transfers that
+    // touch both shards' pools — is race-free by phase separation.
     const std::size_t due = drain_mailboxes(deadline);
     // Handoffs stamped at or before the deadline still need event time on
     // their destination shard; rerun until the edge is quiet. Each rerun's
@@ -141,42 +175,54 @@ net::PacketPool::Stats ShardGroup::aggregate_pool_stats() const {
 
 void ShardGroup::ensure_workers() {
   if (!workers_.empty()) return;
-  workers_.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
+  slots_.resize(shards_.size());
+  workers_.reserve(shards_.size() - 1);
+  for (std::size_t i = 1; i < shards_.size(); ++i) {
     workers_.emplace_back([this, i] { worker_main(i); });
   }
 }
 
 std::uint64_t ShardGroup::run_shards_until(TimeNs target) {
-  std::unique_lock<std::mutex> lk(mu_);
   target_ = target;
-  pending_workers_ = shards_.size();
-  epoch_executed_ = 0;
-  ++generation_;
-  cv_work_.notify_all();
-  cv_done_.wait(lk, [this] { return pending_workers_ == 0; });
-  return epoch_executed_;
+  pending_workers_.store(static_cast<std::uint32_t>(workers_.size()), std::memory_order_relaxed);
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
+  {
+    net::PoolBinding bind(&shards_[0]->pool());
+    run_epoch(0, target);
+  }
+  await(pending_workers_, [](std::uint32_t left) { return left == 0; });
+
+  std::uint64_t executed = 0;
+  for (const EpochSlot& slot : slots_) {
+    if (slot.error) std::rethrow_exception(slot.error);  // lowest index first
+    executed += slot.executed;
+  }
+  return executed;
+}
+
+void ShardGroup::run_epoch(std::size_t shard_idx, TimeNs target) {
+  EpochSlot& slot = slots_[shard_idx];
+  try {
+    slot.executed = shards_[shard_idx]->ev().run_until(target);
+  } catch (...) {
+    // Parked, not propagated: the barrier must complete before anyone
+    // unwinds through objects the other shards are still using.
+    slot.error = std::current_exception();
+  }
 }
 
 void ShardGroup::worker_main(std::size_t shard_idx) {
   // Every allocation made while this shard executes — template replicas,
   // DUT responses, fastpath clones — lands in the shard's private pool.
   net::PoolBinding bind(&shards_[shard_idx]->pool());
-  std::uint64_t seen = 0;
+  std::uint32_t seen = 0;  // workers start before the first epoch's bump
   for (;;) {
-    TimeNs target = 0;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_work_.wait(lk, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      target = target_;
-    }
-    const std::uint64_t n = shards_[shard_idx]->ev().run_until(target);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      epoch_executed_ += n;
-      if (--pending_workers_ == 0) cv_done_.notify_one();
+    seen = await(generation_, [seen](std::uint32_t gen) { return gen != seen; });
+    if (stop_) return;
+    run_epoch(shard_idx, target_);
+    if (pending_workers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      pending_workers_.notify_one();
     }
   }
 }

@@ -9,15 +9,15 @@
 // edges are links (sim::Port wire paths), which hand packets over
 // through per-link SPSC mailboxes (sim/mailbox.hpp).
 //
-// The ShardGroup runs its shards on std::thread workers in epochs of
-// conservative lookahead L = min over cross-shard link directions of
-// (propagation + minimum serialization time). Any packet sent during the
-// epoch [T, T+L) arrives at >= T+L, so within an epoch every shard can
-// execute independently; at the epoch barrier the group drains all
-// mailboxes in fixed link order and schedules the deliveries on the
-// destination queues. That drain order — and the per-shard (time, seq)
-// order inside each queue — makes results byte-identical run-to-run AND
-// across worker interleavings.
+// The ShardGroup runs shard 0 on the calling thread and every other shard
+// on its own std::thread worker, in epochs of conservative lookahead
+// L = min over cross-shard link directions of (propagation + minimum
+// serialization time). Any packet sent during the epoch [T, T+L) arrives
+// at >= T+L, so within an epoch every shard can execute independently; at
+// the epoch barrier the calling thread drains all mailboxes in fixed link
+// order and schedules the deliveries on the destination queues. That
+// drain order — and the per-shard (time, seq) order inside each queue —
+// makes results byte-identical run-to-run AND across worker interleavings.
 //
 // Determinism contract (pinned by tests/determinism_test.cpp): for a
 // fixed component placement and run seed, all observable results —
@@ -36,11 +36,11 @@
 // engine.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -136,7 +136,9 @@ class ShardGroup {
   /// Returns the number of events executed across all shards. With
   /// size() == 1, exactly EventQueue::run_until on the calling thread.
   /// Multi-shard groups must be driven through this call only — do not
-  /// advance an individual shard's queue directly.
+  /// advance an individual shard's queue directly. If events throw, every
+  /// shard still finishes the epoch and the lowest-index shard's exception
+  /// is rethrown here; the group is then only fit for destruction.
   std::uint64_t run_until(TimeNs deadline);
 
   /// Sum of events executed across all shards since construction.
@@ -173,10 +175,15 @@ class ShardGroup {
     Shard* dst_shard = nullptr;
   };
 
+  /// Start the size() - 1 workers (shards 1..size()-1) on first use.
   void ensure_workers();
   void worker_main(std::size_t shard_idx);
-  /// Run every shard to `target` on the workers; returns events executed.
+  /// One epoch: publish `target`, run shard 0 on the calling thread, wait
+  /// for the workers. Returns events executed; rethrows the lowest-index
+  /// shard's exception once every shard is done.
   std::uint64_t run_shards_until(TimeNs target);
+  /// One shard's share of an epoch, its exception parked in its slot.
+  void run_epoch(std::size_t shard_idx, TimeNs target);
   /// Drain all mailboxes in link order; returns the number of handoffs
   /// whose arrival is <= `deadline` (i.e. that still need event time).
   std::size_t drain_mailboxes(TimeNs deadline);
@@ -189,16 +196,24 @@ class ShardGroup {
   TimeNs epoch_now_ = 0;
   SyncStats stats_;
 
-  // --- worker pool (only started for size() > 1) -------------------------
+  // --- epoch barrier (only used for size() > 1) ---------------------------
+  // The caller writes target_ (and stop_), then bumps generation_ with
+  // release order; a worker acquires the new generation before reading
+  // them. Each worker publishes its epoch (queue, pool, mailbox, slot) by
+  // decrementing pending_workers_ with acq_rel order; the caller acquires
+  // zero before it reads the slots and drains the mailboxes. Both sides
+  // spin briefly, then park in std::atomic::wait.
+  /// Per-shard epoch result, written by the shard's own thread.
+  struct alignas(64) EpochSlot {
+    std::uint64_t executed = 0;
+    std::exception_ptr error;
+  };
   std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;
+  std::vector<EpochSlot> slots_;
   TimeNs target_ = 0;
-  std::size_t pending_workers_ = 0;
-  std::uint64_t epoch_executed_ = 0;  ///< accumulated under mu_
   bool stop_ = false;
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
+  alignas(64) std::atomic<std::uint32_t> pending_workers_{0};
 };
 
 }  // namespace ht::sim

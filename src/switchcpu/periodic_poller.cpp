@@ -1,9 +1,19 @@
 #include "switchcpu/periodic_poller.hpp"
 
+#include <cstdio>
 #include <memory>
 #include <utility>
 
 namespace ht::switchcpu {
+
+std::string format_failure(const FailureReport& report) {
+  char line[256];
+  std::snprintf(line, sizeof(line), "%s: %s (%u attempts, t=%llu..%llu ns)",
+                report.component.c_str(), report.what.c_str(), report.attempts,
+                static_cast<unsigned long long>(report.first_attempt_ns),
+                static_cast<unsigned long long>(report.gave_up_ns));
+  return line;
+}
 
 PeriodicPoller::PeriodicPoller(Controller& controller, std::string reg, sim::TimeNs period)
     : controller_(controller), reg_(std::move(reg)), period_(period) {}
@@ -64,7 +74,7 @@ void PeriodicPoller::issue_attempt(sim::TimeNs first_requested, unsigned attempt
           });
       return;
     }
-    sim::FailureReport report;
+    FailureReport report;
     report.component = "PeriodicPoller";
     report.what = "batched read of register '" + reg_ + "' timed out";
     report.first_attempt_ns = first_requested;

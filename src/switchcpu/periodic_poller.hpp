@@ -4,7 +4,10 @@
 // series (throughput over time, per-flow growth). The poller issues one
 // batched read per period through the Controller's latency model and
 // stores the sampled series, so reporting honestly pays the control-plane
-// cost Fig 16b measures.
+// cost Fig 16b measures. With a RetryPolicy armed it also degrades
+// gracefully: reads that miss their deadline are retried with capped
+// exponential backoff, and a read that exhausts its retries leaves a
+// FailureReport.
 #pragma once
 
 #include <cstdint>
@@ -12,10 +15,42 @@
 #include <string>
 #include <vector>
 
-#include "sim/fault.hpp"
+#include "sim/time.hpp"
 #include "switchcpu/controller.hpp"
 
 namespace ht::switchcpu {
+
+/// Timeout + capped exponential backoff for control-plane reads.
+/// `backoff(0)` is the delay before the first retry; each further retry
+/// doubles it up to `backoff_cap_ns`.
+struct RetryPolicy {
+  sim::TimeNs timeout_ns = 1'000'000;      ///< per-attempt deadline (1 ms)
+  unsigned max_retries = 4;                ///< retries after the first attempt
+  sim::TimeNs backoff_base_ns = 100'000;   ///< first retry delay (100 us)
+  sim::TimeNs backoff_cap_ns = 10'000'000; ///< backoff saturation (10 ms)
+
+  sim::TimeNs backoff(unsigned retry) const {
+    // Shift with saturation: past 63 doublings everything is capped.
+    if (retry >= 63) return backoff_cap_ns;
+    const sim::TimeNs d = backoff_base_ns << retry;
+    return d > backoff_cap_ns || d < backoff_base_ns ? backoff_cap_ns : d;
+  }
+};
+
+/// Structured give-up record: what faulted, when it was first tried, and
+/// when the caller gave up. The drop audit trail at give-up time is the
+/// owner's metrics registry (MetricsRegistry::drop_counters()).
+struct FailureReport {
+  std::string component;  ///< e.g. "PeriodicPoller"
+  std::string what;       ///< human-readable description of the failure
+  sim::TimeNs first_attempt_ns = 0;
+  sim::TimeNs gave_up_ns = 0;
+  unsigned attempts = 0;
+};
+
+/// One-line rendering for logs: "PeriodicPoller: batched read of register
+/// 'ctr' timed out (5 attempts, t=1000000..9800000 ns)".
+std::string format_failure(const FailureReport& report);
 
 class PeriodicPoller {
  public:
@@ -50,7 +85,7 @@ class PeriodicPoller {
   /// deadline is retried up to `max_retries` times and a final miss is
   /// recorded as a structured FailureReport. Polling cadence is unchanged
   /// either way — retries ride between periods.
-  void set_retry_policy(sim::RetryPolicy policy) {
+  void set_retry_policy(RetryPolicy policy) {
     policy_ = policy;
     retry_enabled_ = true;
   }
@@ -58,10 +93,10 @@ class PeriodicPoller {
   std::uint64_t timeouts() const { return timeouts_; }
   std::uint64_t retries() const { return retries_; }
   std::uint64_t failures() const { return failures_; }
-  const std::vector<sim::FailureReport>& failure_reports() const { return failure_reports_; }
+  const std::vector<FailureReport>& failure_reports() const { return failure_reports_; }
 
   /// Invoked when one poll exhausts its retries.
-  std::function<void(const sim::FailureReport&)> on_failure;
+  std::function<void(const FailureReport&)> on_failure;
 
   /// Mirror the poller's degradation counters into `reg`, labeled with the
   /// polled register's name; timeouts and failures join the drop audit
@@ -78,12 +113,12 @@ class PeriodicPoller {
   sim::TimeNs period_;
   bool running_ = false;
   bool retry_enabled_ = false;
-  sim::RetryPolicy policy_;
+  RetryPolicy policy_;
   std::uint64_t timeouts_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t failures_ = 0;
   std::vector<Sample> samples_;
-  std::vector<sim::FailureReport> failure_reports_;
+  std::vector<FailureReport> failure_reports_;
 };
 
 }  // namespace ht::switchcpu

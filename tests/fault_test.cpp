@@ -243,7 +243,7 @@ TEST(FaultInjector, IdenticalSeedsProduceIdenticalRuns) {
 }
 
 TEST(RetryPolicy, BackoffIsCappedExponential) {
-  sim::RetryPolicy p;
+  switchcpu::RetryPolicy p;
   p.backoff_base_ns = 100;
   p.backoff_cap_ns = 1'000;
   EXPECT_EQ(p.backoff(0), 100u);
@@ -322,19 +322,19 @@ TEST(PollerRetry, TotalRpcLossExhaustsRetriesIntoFailureReport) {
   switchcpu::Controller ctl(bed.asic);
   ctl.set_rpc_loss(1.0, 42);
   switchcpu::PeriodicPoller poller(ctl, "ctr", sim::ms(5));
-  sim::RetryPolicy policy;
+  switchcpu::RetryPolicy policy;
   policy.timeout_ns = sim::us(700);
   policy.max_retries = 2;
   policy.backoff_base_ns = sim::us(50);
   policy.backoff_cap_ns = sim::us(200);
   poller.set_retry_policy(policy);
   unsigned reported = 0;
-  poller.on_failure = [&](const sim::FailureReport& r) {
+  poller.on_failure = [&](const switchcpu::FailureReport& r) {
     ++reported;
     EXPECT_EQ(r.component, "PeriodicPoller");
     EXPECT_EQ(r.attempts, 3u);  // 1 initial + 2 retries
     EXPECT_GT(r.gave_up_ns, r.first_attempt_ns);
-    EXPECT_NE(sim::format_failure(r).find("PeriodicPoller"), std::string::npos);
+    EXPECT_NE(switchcpu::format_failure(r).find("PeriodicPoller"), std::string::npos);
   };
   poller.start();
   bed.ev.run_until(sim::ms(20));
@@ -355,7 +355,7 @@ TEST(PollerRetry, PartialRpcLossRecoversViaRetries) {
   switchcpu::Controller ctl(bed.asic);
   ctl.set_rpc_loss(0.5, 7);
   switchcpu::PeriodicPoller poller(ctl, "ctr", sim::ms(5));
-  sim::RetryPolicy policy;
+  switchcpu::RetryPolicy policy;
   policy.timeout_ns = sim::us(700);  // > batched latency for 8 entries
   policy.max_retries = 6;
   policy.backoff_base_ns = sim::us(50);

@@ -2,12 +2,19 @@
 // (FIFO across the ring/spill boundary, counted backpressure, epoch-edge
 // arrivals), the splitmix64 per-shard seed fanout, and the ShardGroup
 // scheduler itself — cross-shard delivery must be timestamp-identical to
-// a co-placed link, handoffs must steal or copy correctly, and the worker
-// pool must execute every shard's events exactly once.
+// a co-placed link, handoffs must steal or copy correctly, the worker
+// pool must execute every shard's events exactly once, the epoch barrier
+// must survive thousands of short epochs on an oversubscribed host, and
+// an exception thrown by an event must reach the caller intact.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -198,6 +205,26 @@ TEST(ShardGroup, WorkersExecuteEveryShardAndAggregateStats) {
   EXPECT_EQ(slab.hits + slab.misses, 400u);
 }
 
+/// The calling thread runs shard 0, so N shards add N - 1 threads (Linux
+/// only: counted through /proc/self/task).
+TEST(ShardGroup, CallerRunsShardZeroAndStartsOneWorkerPerOtherShard) {
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) GTEST_SKIP() << "no /proc/self/task";
+  const auto threads = [&tasks] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  // A first thread start may also start runtime helpers (a sanitizer's
+  // background thread); let that happen before the baseline is taken.
+  std::thread([] {}).join();
+  const auto before = threads();
+  for (std::size_t nshards : {1u, 2u, 4u}) {
+    sim::ShardGroup group(nshards, 7);
+    group.run_until(10);
+    EXPECT_EQ(threads() - before, static_cast<long>(nshards) - 1) << nshards << " shards";
+  }
+}
+
 TEST(ShardGroup, SingleShardRunsInlineAsLegacyEngine) {
   sim::ShardGroup group(1, 7);
   std::uint64_t count = 0;
@@ -248,6 +275,113 @@ TEST(ShardGroup, ChaosOnCrossShardLinkMatchesCoPlaced) {
   EXPECT_GT(co_stats.lost, 0u);
   EXPECT_GT(co_stats.duplicated, 0u);
   EXPECT_GT(co_stats.delivered, 0u);
+}
+
+/// Barrier stress: four ping-pong pairs over short links give ~11 ns
+/// epochs, so a 120 us run crosses the barrier more than 10,000 times. At
+/// 8 shards the workers outnumber the cores of a small host, so both sides
+/// of the barrier also take the park path. Every arrival must match the
+/// single-shard run.
+TEST(ShardGroup, ManyShortEpochsStayByteIdentical) {
+  constexpr std::size_t kPairs = 4;
+  const auto run = [](std::size_t nshards) {
+    sim::ShardGroup group(nshards, 7);
+    std::vector<std::unique_ptr<sim::Port>> ports;
+    // One arrival log per port, each appended to by its own shard only.
+    std::vector<std::vector<sim::TimeNs>> arrivals(2 * kPairs);
+    for (std::size_t p = 0; p < kPairs; ++p) {
+      const std::size_t sa = (2 * p) % nshards;
+      const std::size_t sb = (2 * p + 1) % nshards;
+      auto& a = *ports.emplace_back(std::make_unique<sim::Port>(
+          group.shard(sa).ev(), static_cast<std::uint16_t>(2 * p), 100.0));
+      auto& b = *ports.emplace_back(std::make_unique<sim::Port>(
+          group.shard(sb).ev(), static_cast<std::uint16_t>(2 * p + 1), 100.0));
+      group.connect(a, sa, b, sb, /*propagation_ns=*/static_cast<sim::TimeNs>(10 * (p + 1)));
+      for (sim::Port* port : {&a, &b}) {
+        auto& log = arrivals[port->id()];
+        port->on_receive = [port, &log](net::PacketPtr pkt) {
+          log.push_back(pkt->meta().ingress_tstamp_ns);
+          port->send(std::move(pkt));  // bounce it straight back
+        };
+      }
+      // Two packets per pair, so the second one queues behind the first.
+      for (sim::TimeNs t : {sim::TimeNs{0}, sim::TimeNs{3}}) {
+        group.shard(sa).ev().schedule_at(t, [&a] { a.send(net::make_packet(64)); });
+      }
+    }
+    group.run_until(sim::us(120));
+    if (nshards > 1) {
+      EXPECT_GE(group.sync_stats().epochs, 10'000u) << nshards << " shards";
+    }
+    return arrivals;
+  };
+  const auto golden = run(1);
+  for (const auto& log : golden) ASSERT_GT(log.size(), 1'000u);
+  for (std::size_t nshards : {2u, 4u, 8u}) {
+    EXPECT_EQ(run(nshards), golden) << nshards << " shards";
+  }
+}
+
+/// An event that throws on any shard must not terminate the process or
+/// unwind the caller while other shards still run: every shard finishes
+/// the epoch, run_until rethrows on the calling thread, and the group
+/// then tears down without hanging.
+void expect_throw_reaches_caller(std::size_t nshards, std::size_t thrower) {
+  SCOPED_TRACE(std::to_string(nshards) + " shards, throw on shard " + std::to_string(thrower));
+  std::vector<std::uint64_t> counts(nshards, 0);  // each touched by one shard only
+  {
+    sim::ShardGroup group(nshards, 7);
+    sim::Port a(group.shard(0).ev(), 1, 100.0);
+    sim::Port b(group.shard(1).ev(), 2, 100.0);
+    group.connect(a, 0, b, 1, 500);
+    b.on_receive = [](net::PacketPtr) {};
+    for (std::size_t s = 0; s < nshards; ++s) {
+      for (int i = 0; i < 100; ++i) {
+        group.shard(s).ev().schedule_at(static_cast<sim::TimeNs>(i),
+                                        [&counts, s] { ++counts[s]; });
+      }
+    }
+    group.shard(0).ev().schedule_at(0, [&a] { a.send(net::make_packet(64)); });
+    group.shard(thrower).ev().schedule_at(50, [thrower] {
+      throw std::runtime_error("event failed on shard " + std::to_string(thrower));
+    });
+    try {
+      group.run_until(sim::us(10));
+      ADD_FAILURE() << "run_until returned normally";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "event failed on shard " + std::to_string(thrower));
+    }
+    // The barrier completed: the other shards ran their whole first epoch.
+    for (std::size_t s = 0; s < nshards; ++s) {
+      if (s != thrower) {
+        EXPECT_EQ(counts[s], 100u) << "shard " << s;
+      }
+    }
+    EXPECT_EQ(group.sync_stats().epochs, 0u);  // the failed epoch is not counted
+  }  // ~ShardGroup with a packet still in a mailbox: must join, not hang
+}
+
+TEST(ShardGroup, ThrowOnCallerShardRethrowsAfterBarrier) {
+  expect_throw_reaches_caller(2, 0);
+  expect_throw_reaches_caller(4, 0);
+}
+
+TEST(ShardGroup, ThrowOnWorkerShardRethrowsOnCaller) {
+  expect_throw_reaches_caller(2, 1);
+  expect_throw_reaches_caller(4, 1);
+}
+
+TEST(ShardGroup, LowestShardExceptionWinsWhenSeveralThrow) {
+  sim::ShardGroup group(4, 7);
+  for (std::size_t s : {3u, 1u, 2u}) {
+    group.shard(s).ev().schedule_at(10, [s] { throw std::runtime_error(std::to_string(s)); });
+  }
+  try {
+    group.run_until(100);
+    ADD_FAILURE() << "run_until returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "1");
+  }
 }
 
 }  // namespace
