@@ -22,8 +22,8 @@
 namespace ht::bench {
 
 /// Pull a boolean flag (e.g. `--crash`) out of argv, compacting argv so
-/// downstream argument parsers (google-benchmark in perf_micro) never see
-/// it. Returns true when the flag was present.
+/// later argument parsing never sees it. Returns true when the flag was
+/// present.
 inline bool take_flag(int& argc, char** argv, const char* flag) {
   bool present = false;
   int out = 1;

@@ -8,14 +8,74 @@
 //      Simulated results are byte-identical across shard counts; only
 //      wall-clock throughput changes. `--json <path>` records the
 //      fig10_pkts_per_sec_shards{N} + fig10_scaling_efficiency series.
+#include <chrono>
+#include <memory>
+#include <vector>
+
 #include "apps/tasks.hpp"
 #include "baseline/moongen.hpp"
 #include "common.hpp"
-#include "sharded.hpp"
+#include "core/cluster.hpp"
+
+namespace {
+
+using namespace ht;
+
+struct ShardedRun {
+  std::uint64_t packets = 0;
+  double wall_s = 0.0;
+  double pkts_per_sec = 0.0;
+};
+
+/// The (c) workload: `testers` independent single-port 100G testers
+/// placed round-robin over `nshards` shards, each blasting 64B frames at
+/// line rate into a count-only capture sink on its own shard. No
+/// cross-shard links: the workload is embarrassingly parallel (the
+/// paper's fig10 story — one port per core), so wall-clock scaling
+/// measures the worker engine itself, not mailbox traffic.
+ShardedRun run_sharded_throughput(std::size_t nshards, std::size_t testers) {
+  using clock = std::chrono::steady_clock;
+  TesterCluster cluster({.shards = nshards, .seed = 42});
+  // Build the whole fleet's tasks first so auto_place can balance them;
+  // equal line-rate workloads place round-robin.
+  std::vector<apps::ThroughputTest> workload;
+  workload.reserve(testers);
+  std::vector<const ntapi::Task*> tasks;
+  tasks.reserve(testers);
+  for (std::size_t t = 0; t < testers; ++t) {
+    workload.push_back(apps::throughput_test(0x02020202, 0x01010101, {1}, 64, 0));
+    tasks.push_back(&workload.back().task);
+  }
+  const std::vector<std::size_t> placement = cluster.auto_place(tasks);
+  std::vector<std::unique_ptr<dut::Capture>> sinks;
+  for (std::size_t t = 0; t < testers; ++t) {
+    const std::size_t s = placement[t];
+    TesterConfig cfg;
+    cfg.asic.num_ports = 2;
+    cfg.asic.port_rate_gbps = 100.0;
+    cfg.asic.seed = 1 + t;
+    auto& tester = cluster.add_tester(cfg, s);
+    sinks.push_back(std::make_unique<dut::Capture>(cluster.shards().shard(s).ev(),
+                                                   static_cast<std::uint16_t>(1000 + t), 100.0));
+    sinks.back()->set_count_only(true);
+    sinks.back()->attach(tester.asic().port(1));
+    tester.load(workload[t].task);
+    tester.start();
+  }
+  const auto t0 = clock::now();
+  cluster.run_for(sim::ms(2));
+  ShardedRun out;
+  out.wall_s = std::chrono::duration<double>(clock::now() - t0).count();
+  for (std::size_t t = 0; t < cluster.size(); ++t) {
+    out.packets += cluster.tester(t).asic().egress_packets();
+  }
+  out.pkts_per_sec = static_cast<double>(out.packets) / out.wall_s;
+  return out;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
-  using namespace ht;
-
   bench::BenchJson json("fig10_throughput_multi_port", bench::take_path(argc, argv, "--json"));
   // 0 (or absent): sweep the default {1, 2, 4, 8} shard series and run the
   // paper's 8-tester fleet.
@@ -60,7 +120,7 @@ int main(int argc, char** argv) {
   }
   double base_pps = 0.0;
   for (const std::size_t nshards : counts) {
-    const bench::ShardedRun r = bench::run_sharded_throughput(nshards, fleet);
+    const ShardedRun r = run_sharded_throughput(nshards, fleet);
     if (base_pps == 0.0) base_pps = r.pkts_per_sec;
     bench::row("%8zu %12llu %14.0f %12.3f %9.2fx", nshards,
                static_cast<unsigned long long>(r.packets), r.pkts_per_sec, r.wall_s,

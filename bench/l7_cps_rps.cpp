@@ -13,9 +13,7 @@
 //  (d) Determinism: the scaled-down CPS scenario executed on 1/2/4 shards
 //      with the server across a cross-shard link must produce
 //      byte-identical telemetry and server fingerprints. Exits nonzero on
-//      divergence (or when (a) misses the million-connection bar). The
-//      wall time of each run's simulation is recorded as the L7 sharded
-//      wall series.
+//      divergence (or when (a) misses the million-connection bar).
 //
 // `--json <path>` writes the BENCH_l7.json sidecar (scripts/bench.sh --l7).
 #include <chrono>
@@ -237,7 +235,6 @@ DnsRun run_dns() {
 struct DetRun {
   std::uint64_t digest = 0;
   std::uint64_t handshakes = 0;
-  double wall_s = 0.0;  ///< wall time of run_for alone, set-up excluded
 };
 
 DetRun run_cps_sharded(std::size_t nshards) {
@@ -264,11 +261,9 @@ DetRun run_cps_sharded(std::size_t nshards) {
   auto app = apps::http_cps(0x0C0C0C0C, 80, 0x0A000000, 4'096, {1, 2, 3, 4}, {{0, 200}});
   tester.load(app.task);
   tester.start();
-  const auto t0 = clock_type::now();
   cluster.run_for(sim::ms(3));
 
   DetRun out;
-  out.wall_s = wall_since(t0);
   out.handshakes = server.handshakes_completed();
   std::uint64_t h = 0xcbf29ce484222325ULL;
   h = fnv1a_str(h, cluster.telemetry_report().prometheus);
@@ -339,14 +334,13 @@ int main(int argc, char** argv) {
   const auto det_t0 = clock_type::now();
   bool det_ok = true;
   std::uint64_t det_digest = 0;
-  bench::row("%8s %18s %12s %10s", "shards", "digest", "handshakes", "wall (s)");
+  bench::row("%8s %18s %12s", "shards", "digest", "handshakes");
   for (const std::size_t nshards : {1u, 2u, 4u}) {
     const DetRun d = run_cps_sharded(nshards);
     if (nshards == 1) det_digest = d.digest;
     det_ok = det_ok && d.digest == det_digest && d.handshakes > 0;
-    bench::row("%8zu %18llx %12llu %10.3f", nshards, static_cast<unsigned long long>(d.digest),
-               static_cast<unsigned long long>(d.handshakes), d.wall_s);
-    json.add("l7_cps_sharded_wall_s_shards" + std::to_string(nshards), d.wall_s, "s", d.wall_s);
+    bench::row("%8zu %18llx %12llu", nshards, static_cast<unsigned long long>(d.digest),
+               static_cast<unsigned long long>(d.handshakes));
   }
   bench::row("%-28s %14s", "determinism", det_ok ? "ok" : "DIVERGED");
   json.add("l7_cps_determinism", det_ok ? 1.0 : 0.0, "bool", wall_since(det_t0));

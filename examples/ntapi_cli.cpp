@@ -14,10 +14,12 @@
 //   --loopback   wire every switch port back to itself through a cable,
 //                so received-traffic queries see the sent traffic
 //
-// The `stats` subcommand runs the script exactly as the plain run does and
-// dumps the tester's metrics registry — Prometheus exposition text by
-// default, compact JSON with --json. The registry carries every drop
-// counter and the controller's retry/backoff counters. With
+// The `stats` subcommand runs the script exactly as the plain run does,
+// prints one `engine:` line of event-slab and packet-pool facts (host
+// numbers from the tester's ShardGroup, never part of the registry or a
+// digest), and dumps the tester's metrics registry — Prometheus exposition
+// text by default, compact JSON with --json. The registry carries every
+// drop counter and the controller's retry/backoff counters. With
 // `--trace out.json` it also records the run's tracing spans and writes a
 // Chrome trace_event file loadable in https://ui.perfetto.dev (task
 // annotations, pipeline walks, per-port TX, recirculation loops).
@@ -412,10 +414,20 @@ int main(int argc, char** argv) {
 
     tester.start();
     tester.run_for(sim::ms(static_cast<std::uint64_t>(run_ms)));
-    std::printf("ran %ldms simulated (%llu events)\n\n", run_ms,
+    std::printf("ran %ldms simulated (%llu events)\n", run_ms,
                 static_cast<unsigned long long>(tester.events().executed()));
 
     if (stats_mode) {
+      const auto slab = tester.shard_group().aggregate_slab_stats();
+      const auto pool = tester.shard_group().aggregate_pool_stats();
+      std::printf(
+          "engine: slab %llu hits / %llu misses, high-water %llu, %llu heap closures; "
+          "pool %llu hits / %llu misses, high-water %llu\n\n",
+          static_cast<unsigned long long>(slab.hits), static_cast<unsigned long long>(slab.misses),
+          static_cast<unsigned long long>(slab.high_water),
+          static_cast<unsigned long long>(slab.heap_closures),
+          static_cast<unsigned long long>(pool.hits), static_cast<unsigned long long>(pool.misses),
+          static_cast<unsigned long long>(pool.high_water));
       const auto report = tester.telemetry_report();
       std::fputs(stats_json ? report.json.c_str() : report.prometheus.c_str(), stdout);
       if (stats_json) std::fputc('\n', stdout);
@@ -432,6 +444,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
+    std::putchar('\n');
     for (const auto& [name, handle] : prog.triggers) {
       std::printf("trigger %-8s fired %llu times%s\n", name.c_str(),
                   static_cast<unsigned long long>(tester.trigger_fires(handle)),

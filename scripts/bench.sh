@@ -1,9 +1,14 @@
 #!/usr/bin/env sh
 # Regenerate the machine-readable bench sidecars:
 #
-#   BENCH_perf.json  perf_micro: hot-path micro-benchmarks plus the Fig. 9
-#                    single-port packets/sec measurement against the
-#                    recorded pre-refactor baseline (see DESIGN.md sec. 8)
+#   BENCH_perf.json  perf_micro: hot-path micro-benchmarks, written by
+#                    google-benchmark's JSON reporter (host context plus
+#                    mean/median/stddev/cv over 5 repetitions)
+#   BENCH_wall.jsonl perfbench/run.py --record: simulator wall-clock
+#                    throughput, set-up time and peak RSS for every
+#                    workload in BENCHMARK.json, one JSON line per workload
+#                    with provenance and every repetition's raw record
+#                    (compare two files with `perfbench/run.py --compare`)
 #   BENCH_fig9.json  fig9_throughput_single_port: achieved Gbps per packet
 #                    size on 100G/40G ports, plus a `telemetry` block —
 #                    the 64B run's metrics-registry dump (per-port wire
@@ -60,14 +65,22 @@ if [ ! -x "$BUILD_DIR/bench/perf_micro" ]; then
   exit 1
 fi
 
-"$BUILD_DIR/bench/perf_micro" --json BENCH_perf.json
+"$BUILD_DIR/bench/perf_micro" --benchmark_out=BENCH_perf.json --benchmark_out_format=json \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
 "$BUILD_DIR/bench/fig9_throughput_single_port" --json BENCH_fig9.json
 "$BUILD_DIR/bench/fig9_throughput_single_port" --loss 0.01 --json BENCH_fig9_lossy.json
 "$BUILD_DIR/bench/fig9_throughput_single_port" --crash --json BENCH_fig9_crash.json
 # shellcheck disable=SC2086 -- SHARDS_ARGS/TESTERS_ARGS are deliberately word-split
 "$BUILD_DIR/bench/fig10_throughput_multi_port" $SHARDS_ARGS $TESTERS_ARGS --json BENCH_fig10.json
 
-WROTE="BENCH_perf.json BENCH_fig9.json BENCH_fig9_lossy.json BENCH_fig9_crash.json BENCH_fig10.json"
+# perfbench builds its own Release tree from src/; --record appends, so
+# start from an empty file.
+rm -f BENCH_wall.jsonl
+for w in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  python3 perfbench/run.py --workload "$w" --record BENCH_wall.jsonl
+done
+
+WROTE="BENCH_perf.json BENCH_wall.jsonl BENCH_fig9.json BENCH_fig9_lossy.json BENCH_fig9_crash.json BENCH_fig10.json"
 if [ "$RUN_L7" = 1 ]; then
   "$BUILD_DIR/bench/l7_cps_rps" --json BENCH_l7.json
   WROTE="$WROTE BENCH_l7.json"

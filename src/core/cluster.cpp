@@ -115,11 +115,4 @@ std::vector<std::size_t> TesterCluster::auto_place(
   return placement;
 }
 
-std::vector<sim::AllocCacheReport> TesterCluster::alloc_cache_reports() const {
-  const sim::EventQueue::SlabStats slab = group_.aggregate_slab_stats();
-  const net::PacketPool::Stats pool = group_.aggregate_pool_stats();
-  return {{"packet-pool", pool.hits, pool.misses, pool.high_water},
-          {"event-slab", slab.hits, slab.misses, slab.high_water}};
-}
-
 }  // namespace ht

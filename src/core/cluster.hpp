@@ -68,14 +68,8 @@ class TesterCluster {
 
   /// Deterministic merged snapshot of every tester's registry: tester i's
   /// samples carry a spliced tester="ti" label; sections merge in tester
-  /// order and sort by the labeled sample name. Byte-identical across
-  /// shard counts because per-shard engine internals (slab mirrors) are
-  /// never registered for placed testers.
+  /// order and sort by the labeled sample name.
   telemetry::Report telemetry_report() const;
-
-  /// Engine-wide allocation-cache totals (all shards; same numbers every
-  /// tester's alloc_cache_reports() yields, since they share the group).
-  std::vector<sim::AllocCacheReport> alloc_cache_reports() const;
 
   /// Full cluster state image: the engine section followed by one section
   /// group per tester ("t0.*", "t1.*", ... in tester order). Supervisor

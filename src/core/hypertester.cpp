@@ -9,36 +9,11 @@
 namespace ht {
 
 HyperTester::HyperTester(TesterConfig cfg)
-    : owned_group_(std::make_unique<sim::ShardGroup>(1)),
-      home_(&owned_group_->shard(0)),
-      ev_(home_->ev()),
-      asic_(ev_, cfg.asic),
-      controller_(asic_),
-      cfg_fastpath_(cfg.fastpath) {
-  auto& m = asic_.metrics();
-  controller_.register_metrics(m);
-  // Event-slab instrumentation joins the registry as mirrors — but only
-  // here, where the tester owns its whole one-shard engine. A placed
-  // tester shares a multi-shard group whose slab numbers depend on how
-  // events split across queues, and mirroring them would break the
-  // byte-identical-exports contract across shard counts (DESIGN.md §13);
-  // the packet pool is excluded for the analogous reason (its legacy
-  // incarnation was process-global, so its numbers depended on how many
-  // testers ran before this one). Both stay reachable via
-  // alloc_cache_reports().
-  m.mirror_counter("ht_sim_event_slab_hits_total",
-                   [this] { return ev_.slab_stats().hits; },
-                   {.help = "event nodes served from the slab freelist"});
-  m.mirror_counter("ht_sim_event_slab_misses_total",
-                   [this] { return ev_.slab_stats().misses; },
-                   {.help = "event nodes carved fresh from a chunk"});
-  m.mirror_counter("ht_sim_event_heap_closures_total",
-                   [this] { return ev_.slab_stats().heap_closures; },
-                   {.help = "event callables too big for inline storage"});
-  m.mirror_gauge("ht_sim_event_slab_high_water",
-                 [this] { return static_cast<std::int64_t>(ev_.slab_stats().high_water); },
-                 {.help = "max events simultaneously pending"});
-  register_lifecycle_metrics();
+    : HyperTester(cfg, std::make_unique<sim::ShardGroup>(1)) {}
+
+HyperTester::HyperTester(TesterConfig cfg, std::unique_ptr<sim::ShardGroup> owned)
+    : HyperTester(cfg, owned->shard(0)) {
+  owned_group_ = std::move(owned);
 }
 
 HyperTester::HyperTester(TesterConfig cfg, sim::Shard& shard)
@@ -47,13 +22,8 @@ HyperTester::HyperTester(TesterConfig cfg, sim::Shard& shard)
       asic_(ev_, cfg.asic),
       controller_(asic_),
       cfg_fastpath_(cfg.fastpath) {
-  // No slab mirrors for placed testers: see the standalone ctor.
-  controller_.register_metrics(asic_.metrics());
-  register_lifecycle_metrics();
-}
-
-void HyperTester::register_lifecycle_metrics() {
   auto& m = asic_.metrics();
+  controller_.register_metrics(m);
   // Always 0; registered only so pinned Prometheus text and digests keep their bytes.
   m.counter("ht_run_retries_total", {.help = "stalled run slices retried with backoff"});
   m.counter("ht_run_failures_total",
@@ -74,16 +44,6 @@ void HyperTester::run_for(sim::TimeNs duration) {
                              telemetry::TraceRecorder::kTrackTask);
     }
   }
-}
-
-std::vector<sim::AllocCacheReport> HyperTester::alloc_cache_reports() const {
-  // Whole-engine view: slab and packet-pool stats summed across every
-  // shard of the driving group (one shard = the legacy single numbers).
-  const sim::ShardGroup& g = home_->group();
-  const sim::EventQueue::SlabStats slab = g.aggregate_slab_stats();
-  const net::PacketPool::Stats pool = g.aggregate_pool_stats();
-  return {{"packet-pool", pool.hits, pool.misses, pool.high_water},
-          {"event-slab", slab.hits, slab.misses, slab.high_water}};
 }
 
 void HyperTester::load(const ntapi::Task& task) {

@@ -42,8 +42,8 @@ struct TesterConfig {
 
 class HyperTester {
  public:
-  /// A standalone tester: it owns a private one-shard group, the legacy
-  /// single-queue engine run inline on the calling thread (DESIGN.md §13).
+  /// A standalone tester: the same tester as one placed on shard 0 of a
+  /// private one-shard group that it owns (DESIGN.md §13).
   explicit HyperTester(TesterConfig cfg = {});
   /// Place the tester on a shard of an existing ShardGroup (used by
   /// TesterCluster, core/cluster.hpp). All of the tester's components run
@@ -77,10 +77,6 @@ class HyperTester {
   /// Snapshot of the registry in both exposition formats (Prometheus
   /// text + compact JSON).
   telemetry::Report telemetry_report() const { return telemetry::make_report(asic_.metrics()); }
-  /// The hot-path allocation caches (packet pool, event slab) as uniform
-  /// reports — the registry mirrors the same numbers; this is the
-  /// bench-display adapter.
-  std::vector<sim::AllocCacheReport> alloc_cache_reports() const;
 
   /// Compile the task and install it into the switch. Throws
   /// ntapi::CompileError on invalid tasks. One task per instance.
@@ -153,9 +149,9 @@ class HyperTester {
   bool trigger_done(ntapi::TriggerHandle t) const;
 
  private:
+  HyperTester(TesterConfig cfg, std::unique_ptr<sim::ShardGroup> owned);
   void apply_chaos();
   void set_ports_admin(bool up, bool include_recirc = true);
-  void register_lifecycle_metrics();
 
   /// Present only for standalone testers; declared first so it outlives
   /// every component still holding pool-backed packets at destruction.

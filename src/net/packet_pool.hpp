@@ -21,8 +21,8 @@ namespace ht::net {
 
 class PacketPool {
  public:
-  /// Hit/miss/high-water instrumentation; surfaced by benches and
-  /// formatted via sim::stats::AllocCacheReport.
+  /// Hit/miss/high-water instrumentation, summed per group by
+  /// sim::ShardGroup::aggregate_pool_stats.
   struct Stats {
     std::uint64_t hits = 0;        ///< acquisitions served from the freelist
     std::uint64_t misses = 0;      ///< acquisitions that had to allocate

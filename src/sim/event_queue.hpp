@@ -43,10 +43,6 @@ namespace ht::sim {
 
 class EventQueue {
  public:
-  /// Kept for callers that store handlers before scheduling; schedule_at
-  /// accepts any callable type directly and will store small ones inline.
-  using Handler = std::function<void()>;
-
   EventQueue() = default;
   ~EventQueue();
   EventQueue(const EventQueue&) = delete;
@@ -94,8 +90,8 @@ class EventQueue {
   /// mid-run testbed must not count event-held packets as checked out.
   void drop_pending();
 
-  /// Slab instrumentation (hit/miss/high-water), surfaced by the benches
-  /// via sim::stats::AllocCacheReport.
+  /// Slab instrumentation (hit/miss/high-water), summed per group by
+  /// ShardGroup::aggregate_slab_stats.
   struct SlabStats {
     std::uint64_t hits = 0;           ///< nodes served from the freelist
     std::uint64_t misses = 0;         ///< nodes carved fresh from a chunk

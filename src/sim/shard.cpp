@@ -105,14 +105,6 @@ void ShardGroup::connect(Port& a, std::size_t shard_a, Port& b, std::size_t shar
 }
 
 std::uint64_t ShardGroup::run_until(TimeNs deadline) {
-  if (shards_.size() == 1) {
-    // Single shard: the legacy engine, inline on the calling thread — no
-    // epochs, no barrier, no worker threads.
-    net::PoolBinding bind(&shards_[0]->pool());
-    const std::uint64_t n = shards_[0]->ev().run_until(deadline);
-    epoch_now_ = std::max(epoch_now_, deadline);
-    return n;
-  }
   ensure_workers();
   std::uint64_t executed = 0;
   for (;;) {
@@ -174,7 +166,7 @@ net::PacketPool::Stats ShardGroup::aggregate_pool_stats() const {
 }
 
 void ShardGroup::ensure_workers() {
-  if (!workers_.empty()) return;
+  if (!slots_.empty()) return;
   slots_.resize(shards_.size());
   workers_.reserve(shards_.size() - 1);
   for (std::size_t i = 1; i < shards_.size(); ++i) {
@@ -203,6 +195,7 @@ std::uint64_t ShardGroup::run_shards_until(TimeNs target) {
 
 void ShardGroup::run_epoch(std::size_t shard_idx, TimeNs target) {
   EpochSlot& slot = slots_[shard_idx];
+  slot = {};  // a caught error must not be rethrown by a later epoch
   try {
     slot.executed = shards_[shard_idx]->ev().run_until(target);
   } catch (...) {

@@ -31,9 +31,10 @@
 // component (each ASIC/controller/injector owns its Rng), never to the
 // shard, so co-residency does not change any stream.
 //
-// A group of size 1 runs inline on the calling thread with no epochs, no
-// barrier, and no worker threads — exactly the legacy single-queue
-// engine.
+// A group of size 1 runs the same epoch loop with no workers: it has no
+// cross-shard links, so each run_until call is one epoch on the calling
+// thread with nothing to drain. A standalone HyperTester is exactly such a
+// group, so it runs the code path a placed tester runs.
 #pragma once
 
 #include <atomic>
@@ -134,11 +135,13 @@ class ShardGroup {
 
   /// Advance every shard to `deadline` (epoch loop + mailbox barriers).
   /// Returns the number of events executed across all shards. With
-  /// size() == 1, exactly EventQueue::run_until on the calling thread.
+  /// size() == 1, one epoch: EventQueue::run_until on the calling thread.
   /// Multi-shard groups must be driven through this call only — do not
   /// advance an individual shard's queue directly. If events throw, every
   /// shard still finishes the epoch and the lowest-index shard's exception
-  /// is rethrown here; the group is then only fit for destruction.
+  /// is rethrown here. A one-shard group then resumes after the failed
+  /// event on the next call; a multi-shard group is only fit for
+  /// destruction.
   std::uint64_t run_until(TimeNs deadline);
 
   /// Sum of events executed across all shards since construction.
@@ -153,8 +156,8 @@ class ShardGroup {
   };
   SyncStats sync_stats() const;
 
-  /// Aggregates across every shard, for HyperTester::alloc_cache_reports:
-  /// counters are summed; high_water is the sum of per-shard peaks (an
+  /// Engine facts summed across every shard; they never enter a digest or
+  /// the Prometheus text. high_water is the sum of per-shard peaks (an
   /// upper bound on the true simultaneous peak).
   EventQueue::SlabStats aggregate_slab_stats() const;
   net::PacketPool::Stats aggregate_pool_stats() const;
@@ -175,7 +178,8 @@ class ShardGroup {
     Shard* dst_shard = nullptr;
   };
 
-  /// Start the size() - 1 workers (shards 1..size()-1) on first use.
+  /// Size the epoch slots and start the size() - 1 workers (shards
+  /// 1..size()-1) on first use.
   void ensure_workers();
   void worker_main(std::size_t shard_idx);
   /// One epoch: publish `target`, run shard 0 on the calling thread, wait
@@ -196,7 +200,7 @@ class ShardGroup {
   TimeNs epoch_now_ = 0;
   SyncStats stats_;
 
-  // --- epoch barrier (only used for size() > 1) ---------------------------
+  // --- epoch barrier (with no workers when size() == 1) ------------------
   // The caller writes target_ (and stop_), then bumps generation_ with
   // release order; a worker acquires the new generation before reading
   // them. Each worker publishes its epoch (queue, pool, mailbox, slot) by

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace ht::sim {
@@ -59,17 +58,6 @@ double percentile(std::vector<double> samples, double p) {
   const std::size_t hi = std::min(lo + 1, samples.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-std::string format_alloc_cache(const AllocCacheReport& report) {
-  char line[160];
-  std::snprintf(line, sizeof(line),
-                "%s: %.1f%% hit (%llu hit / %llu miss), high-water %llu",
-                report.name.c_str(), report.hit_rate() * 100.0,
-                static_cast<unsigned long long>(report.hits),
-                static_cast<unsigned long long>(report.misses),
-                static_cast<unsigned long long>(report.high_water));
-  return line;
 }
 
 }  // namespace ht::sim

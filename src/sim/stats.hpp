@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace ht::sim {
@@ -52,24 +51,5 @@ std::vector<double> inter_departure_times(const std::vector<std::uint64_t>& time
 
 /// Exact percentile (nearest-rank) of a sample set; p in [0,100].
 double percentile(std::vector<double> samples, double p);
-
-/// Uniform view over the hot-path allocation caches (net::PacketPool
-/// freelist, EventQueue event-node slab). The owning layers expose their own
-/// stats structs — net cannot depend on sim — so callers adapt into this
-/// report for display next to the bench numbers.
-struct AllocCacheReport {
-  std::string name;              ///< e.g. "packet-pool", "event-slab"
-  std::uint64_t hits = 0;        ///< acquisitions served from the cache
-  std::uint64_t misses = 0;      ///< acquisitions that hit the allocator
-  std::uint64_t high_water = 0;  ///< max objects simultaneously live
-  double hit_rate() const {
-    const std::uint64_t total = hits + misses;
-    return total != 0 ? static_cast<double>(hits) / static_cast<double>(total) : 0.0;
-  }
-};
-
-/// One-line human-readable rendering, e.g.
-/// "packet-pool: 99.8% hit (12345 hit / 25 miss), high-water 31".
-std::string format_alloc_cache(const AllocCacheReport& report);
 
 }  // namespace ht::sim

@@ -41,11 +41,6 @@ std::uint64_t Histogram::quantile(double q) const {
   return max_;
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry g;
-  return g;
-}
-
 std::string render_name(const std::string& name, const std::vector<Label>& labels) {
   if (labels.empty()) return name;
   std::string out = name;
@@ -88,7 +83,7 @@ Gauge& MetricsRegistry::gauge(std::string name, MetricOpts opts) {
 
 Histogram& MetricsRegistry::histogram(std::string name, MetricOpts opts) {
   Entry& e = add_entry(std::move(name), std::move(opts), Kind::kHistogram);
-  e.histogram.emplace(&enabled_);
+  e.histogram.emplace();
   return *e.histogram;
 }
 

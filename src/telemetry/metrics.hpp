@@ -11,10 +11,9 @@
 //    bucket counts only.
 //  * Cheap hot path. A counter increment is one relaxed atomic add; a
 //    histogram record is a handful of arithmetic ops and two array
-//    increments, no allocation ever after construction. The per-registry
-//    `enabled` flag turns histogram recording into a single load+branch,
-//    and the compile-time HT_TELEMETRY switch (see telemetry.hpp) removes
-//    instrumentation-only call sites entirely.
+//    increments, no allocation ever after construction. The compile-time
+//    HT_TELEMETRY switch (see telemetry.hpp) removes instrumentation-only
+//    call sites entirely.
 //  * Single source of truth. Counters that used to live as bespoke
 //    members (ASIC drop counters, port MAC counters, HTPR integrity
 //    counters) either live in the registry directly or are *mirrored*
@@ -78,20 +77,13 @@ class Gauge {
 /// The layout covers the full uint64 range in 976 buckets (7.8 KB), is
 /// identical in every process, and never changes at runtime — which is
 /// what keeps metric dumps byte-stable across identical runs.
-///
-/// Recording honours an external enable flag (the owning registry's):
-/// when disabled, record() is one load + branch and touches nothing.
 class Histogram {
  public:
   static constexpr unsigned kSubBits = 4;                    // 16 sub-buckets/octave
   static constexpr std::size_t kSub = std::size_t{1} << kSubBits;
   static constexpr std::size_t kBuckets = kSub + (64 - kSubBits) * kSub;  // 976
 
-  Histogram() : enabled_(&kAlwaysOn) {}
-  explicit Histogram(const bool* enabled) : enabled_(enabled ? enabled : &kAlwaysOn) {}
-
   void record(std::uint64_t v) {
-    if (!*enabled_) return;
     ++counts_[bucket_index(v)];
     ++count_;
     sum_ += v;
@@ -126,9 +118,6 @@ class Histogram {
   const std::array<std::uint64_t, kBuckets>& buckets() const { return counts_; }
 
  private:
-  static constexpr bool kAlwaysOn = true;
-
-  const bool* enabled_;
   std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
@@ -158,9 +147,9 @@ struct MetricOpts {
 ///
 /// Mirrors: a mirror entry samples an existing component counter through
 /// a callback at read time instead of owning a cell. This is how legacy
-/// hot-path counters (port MAC counters, event-slab stats, fault-injector
-/// stats) join the registry without any hot-path change — the component
-/// stays authoritative, the registry is the single aggregation point.
+/// hot-path counters (port MAC counters, fault-injector stats) join the
+/// registry without any hot-path change — the component stays
+/// authoritative, the registry is the single aggregation point.
 /// The callback must outlive every sampling call.
 ///
 /// Entries are stored in a deque so references stay stable for the life
@@ -171,21 +160,6 @@ class MetricsRegistry {
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Process-wide default instance. Each HyperTester owns its own
-  /// registry (so two testbeds in one process stay independent and
-  /// deterministic); the global one exists for code with no natural
-  /// owner (ad-hoc tools, one-off probes).
-  static MetricsRegistry& global();
-
-  /// Histogram recording switch. Counters and gauges keep counting when
-  /// disabled — they are the system's bookkeeping (drop reports, query
-  /// totals), not optional observability. Disabling freezes histograms
-  /// and is the documented way to take distribution recording out of a
-  /// perf-sensitive run at runtime (HT_TELEMETRY=OFF removes the call
-  /// sites at compile time instead).
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
 
   Counter& counter(std::string name, MetricOpts opts = {});
   Gauge& gauge(std::string name, MetricOpts opts = {});
@@ -241,7 +215,6 @@ class MetricsRegistry {
  private:
   Entry& add_entry(std::string name, MetricOpts opts, Kind kind);
 
-  bool enabled_ = true;
   std::deque<Entry> entries_;
 };
 

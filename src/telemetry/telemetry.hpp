@@ -10,9 +10,8 @@
 // counters, query bookkeeping) are NOT behind the switch: a drop report
 // must stay honest in every build.
 //
-// The runtime knob is per registry: MetricsRegistry::set_enabled(false)
-// freezes histogram recording (one load + branch per record), and
-// TraceRecorder is off unless a consumer turns it on.
+// The only runtime knob is the TraceRecorder, which is off unless a
+// consumer turns it on; histograms always record when compiled in.
 #pragma once
 
 #ifndef HT_TELEMETRY_ENABLED

@@ -2,7 +2,11 @@
 // simulated testbed with devices under test -> query results.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "apps/tasks.hpp"
+#include "core/cluster.hpp"
 #include "core/hypertester.hpp"
 #include "dut/capture.hpp"
 #include "dut/forwarder.hpp"
@@ -39,6 +43,27 @@ TEST(HyperTester, ThroughputTaskEndToEnd) {
   // The received-traffic query sees nothing (sink only absorbs).
   EXPECT_EQ(tester.query_total(app.q_received), 0u);
   EXPECT_GT(tester.trigger_fires(app.t1), 0u);
+}
+
+// A standalone tester owns a one-shard group; placed in a one-shard
+// cluster, the same tester must run and export exactly the same bytes.
+TEST(HyperTester, StandaloneAndPlacedTestersAreIdentical) {
+  HyperTester standalone(small_tester());
+  TesterCluster cluster({.shards = 1});
+  HyperTester& placed = cluster.add_tester(small_tester(), 0);
+  const auto app = apps::throughput_test(0x02020202, 0x01010101, {1}, 64, 0);
+  std::vector<std::unique_ptr<dut::Capture>> sinks;
+  for (HyperTester* tester : {&standalone, &placed}) {
+    sinks.push_back(std::make_unique<dut::Capture>(tester->events(), 100, 100.0));
+    sinks.back()->attach(tester->asic().port(1));
+    tester->load(app.task);
+    tester->start();
+    tester->run_for(sim::us(200));
+  }
+  EXPECT_GT(placed.events().executed(), 0u);
+  EXPECT_EQ(standalone.events().executed(), placed.events().executed());
+  EXPECT_EQ(standalone.telemetry_report().prometheus, placed.telemetry_report().prometheus);
+  EXPECT_EQ(standalone.state_digest(), placed.state_digest());
 }
 
 TEST(HyperTester, ReceivedQueryCountsLoopedBackTraffic) {

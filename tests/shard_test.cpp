@@ -331,9 +331,10 @@ void expect_throw_reaches_caller(std::size_t nshards, std::size_t thrower) {
   std::vector<std::uint64_t> counts(nshards, 0);  // each touched by one shard only
   {
     sim::ShardGroup group(nshards, 7);
+    const std::size_t peer = nshards > 1 ? 1 : 0;  // one shard: an intra-shard wire
     sim::Port a(group.shard(0).ev(), 1, 100.0);
-    sim::Port b(group.shard(1).ev(), 2, 100.0);
-    group.connect(a, 0, b, 1, 500);
+    sim::Port b(group.shard(peer).ev(), 2, 100.0);
+    group.connect(a, 0, b, peer, 500);
     b.on_receive = [](net::PacketPtr) {};
     for (std::size_t s = 0; s < nshards; ++s) {
       for (int i = 0; i < 100; ++i) {
@@ -362,6 +363,7 @@ void expect_throw_reaches_caller(std::size_t nshards, std::size_t thrower) {
 }
 
 TEST(ShardGroup, ThrowOnCallerShardRethrowsAfterBarrier) {
+  expect_throw_reaches_caller(1, 0);
   expect_throw_reaches_caller(2, 0);
   expect_throw_reaches_caller(4, 0);
 }
@@ -369,6 +371,22 @@ TEST(ShardGroup, ThrowOnCallerShardRethrowsAfterBarrier) {
 TEST(ShardGroup, ThrowOnWorkerShardRethrowsOnCaller) {
   expect_throw_reaches_caller(2, 1);
   expect_throw_reaches_caller(4, 1);
+}
+
+/// A one-shard group runs the general epoch loop, so a caught throw must
+/// not stay parked in its epoch slot: the next run_until resumes after the
+/// failed event instead of rethrowing it.
+TEST(ShardGroup, OneShardGroupResumesAfterACaughtThrow) {
+  sim::ShardGroup group(1, 7);
+  int ran = 0;
+  group.shard(0).ev().schedule_at(10, [] { throw std::runtime_error("event failed"); });
+  group.shard(0).ev().schedule_at(20, [&ran] { ++ran; });
+  EXPECT_THROW(group.run_until(100), std::runtime_error);
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(group.run_until(100), 1u);
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(group.now(), 100);
+  EXPECT_EQ(group.sync_stats().epochs, 1u);  // only the clean epoch counts
 }
 
 TEST(ShardGroup, LowestShardExceptionWinsWhenSeveralThrow) {

@@ -135,22 +135,6 @@ TEST(MetricsRegistry, LookupAndDropCounters) {
   EXPECT_EQ(drops[1].second, 42u);
 }
 
-TEST(MetricsRegistry, DisabledFreezesHistogramsButNotCounters) {
-  MetricsRegistry reg;
-  auto& c = reg.counter("ht_test_events_total");
-  auto& h = reg.histogram("ht_test_latency_ns");
-  h.record(10);
-  reg.set_enabled(false);
-  h.record(20);
-  c.inc();
-  EXPECT_EQ(h.count(), 1u);  // the disabled record touched nothing
-  EXPECT_EQ(h.max(), 10u);
-  EXPECT_EQ(c.value(), 1u);  // counters are bookkeeping, not observability
-  reg.set_enabled(true);
-  h.record(20);
-  EXPECT_EQ(h.count(), 2u);
-}
-
 TEST(MetricsRegistry, ConcurrentCounterIncrementsAreLossless) {
   MetricsRegistry reg;
   auto& c = reg.counter("ht_test_concurrent_total");
