@@ -7,9 +7,12 @@
 //      1/2/4/8 worker shards (or the single count given via --shards N).
 //      Simulated results are byte-identical across shard counts; only
 //      wall-clock throughput changes. `--json <path>` records the
-//      fig10_pkts_per_sec_shards{N} + fig10_scaling_efficiency series.
+//      fig10_pkts_per_sec_shards{N} + fig10_scaling_efficiency series;
+//      efficiency divides by min(8, cores), recorded as fig10_host_cores.
+#include <algorithm>
 #include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "apps/tasks.hpp"
@@ -128,7 +131,12 @@ int main(int argc, char** argv) {
     json.add("fig10_pkts_per_sec_shards" + std::to_string(nshards), r.pkts_per_sec, "pkts/s",
              r.wall_s);
     if (nshards == 8 && counts.front() == 1) {
-      json.add("fig10_scaling_efficiency", r.pkts_per_sec / (8.0 * base_pps), "ratio", 0.0);
+      // Eight shards on fewer cores can speed up by at most the core
+      // count, so that is the ideal an oversubscribed host is held to.
+      const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+      const double ideal = static_cast<double>(std::min<std::size_t>(nshards, cores));
+      json.add("fig10_scaling_efficiency", r.pkts_per_sec / (ideal * base_pps), "ratio", 0.0);
+      json.add("fig10_host_cores", cores, "count", 0.0);
     }
   }
   return json.write() ? 0 : 1;

@@ -27,7 +27,8 @@
 #   BENCH_fig10.json fig10_throughput_multi_port: per-port line-rate table
 #                    plus the sharded-engine wall-clock scaling sweep
 #                    (fig10_pkts_per_sec_shards{1,2,4,8} and
-#                    fig10_scaling_efficiency; DESIGN.md sec. 13). Pass
+#                    fig10_scaling_efficiency over min(8, cores), with
+#                    fig10_host_cores; DESIGN.md sec. 13). Pass
 #                    `--shards N` through to measure a single shard count
 #                    and `--testers N` to grow the fleet beyond the
 #                    default 8 (auto-placed over the shards).

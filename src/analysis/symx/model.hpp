@@ -122,8 +122,6 @@ class TaskModel {
   /// least one feasible path whose packet can survive every operator.
   std::size_t feasible_match_paths(std::size_t q) const { return match_paths_.at(q); }
 
-  const std::vector<ParserPath>& parser_paths() const { return parser_paths_; }
-
   const ntapi::Task& task() const { return task_; }
   const ntapi::CompiledTask& compiled() const { return compiled_; }
   const rmt::AsicConfig& asic() const { return asic_; }

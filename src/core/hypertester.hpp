@@ -52,8 +52,6 @@ class HyperTester {
 
   // --- infrastructure access -------------------------------------------------
   sim::EventQueue& events() { return ev_; }
-  /// The shard this tester's components execute on.
-  sim::Shard& home_shard() { return *home_; }
   /// The engine driving this tester: its own internal group (standalone)
   /// or the cluster's (placed). run_for advances it.
   sim::ShardGroup& shard_group() { return home_->group(); }

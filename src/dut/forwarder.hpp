@@ -37,7 +37,6 @@ class Forwarder {
 
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t lost() const { return lost_; }
-  double configured_delay_ns() const { return cfg_.forward_delay_ns; }
 
  private:
   void on_packet(std::size_t in_port, net::PacketPtr pkt);

@@ -113,7 +113,6 @@ class CounterStore {
   std::uint64_t exact_hits() const { return exact_hits_; }
   std::uint64_t fifo_pushes() const { return fifo_pushes_; }
   std::uint64_t cpu_evictions() const { return cpu_evictions_; }
-  std::size_t exact_entry_count() const { return exact_index_.size(); }
   std::size_t occupied_buckets() const;
   const regfifo::RegisterFifo& fifo() const { return fifo_; }
 

@@ -144,9 +144,6 @@ class Sender {
   /// The recirculation channel carrying template `tid`.
   std::uint16_t recirc_port_of(std::uint32_t tid) const;
 
-  /// Loop-fill target computed at install (accelerator capacity share).
-  std::uint64_t loop_target(std::uint32_t tid) const { return loop_targets_.at(tid); }
-
   /// Shared action cores. The accelerator/replicator and editor semantics
   /// are written once as templates over a context concept
   /// (get/set/now/rng/registers/meta/unicast/multicast) and instantiated

@@ -58,7 +58,6 @@ class KeyBits {
   }
 
   const std::array<std::uint64_t, 2>& value_words() const { return value_; }
-  const std::array<std::uint64_t, 2>& mask_words() const { return mask_; }
 
  private:
   std::array<std::uint64_t, 2> value_{};

@@ -142,10 +142,6 @@ void SwitchAsic::enter_ingress(net::PacketPtr pkt) {
     injected_drops_->inc();
     return;
   }
-  run_ingress(std::move(pkt));
-}
-
-void SwitchAsic::run_ingress(net::PacketPtr pkt) {
   ingress_packets_->inc();
   if constexpr (telemetry::kEnabled) {
     if (trace_.enabled()) {
@@ -170,6 +166,10 @@ void SwitchAsic::run_ingress(net::PacketPtr pkt) {
   to_traffic_manager(std::move(pkt), phv.intrinsic());
 }
 
+void SwitchAsic::schedule_egress(sim::TimeNs delay, EgressReplica r) {
+  ev_.schedule_in(delay, [this, r = std::move(r)]() mutable { run_egress({&r, 1}); });
+}
+
 void SwitchAsic::to_traffic_manager(net::PacketPtr pkt, IntrinsicMeta im) {
   // The TM hop is folded into the scheduling delays (ingress latency +
   // TM/mcast service time) — one event per replica instead of two.
@@ -181,34 +181,13 @@ void SwitchAsic::to_traffic_manager(net::PacketPtr pkt, IntrinsicMeta im) {
     case Destination::kUnicast: {
       const auto delay =
           static_cast<sim::TimeNs>(std::llround(ingress + cfg_.timing.tm_unicast_latency_ns));
-      const std::uint16_t eport = im.ucast_port;
-      ev_.schedule_in(delay, [this, pkt = std::move(pkt), eport]() mutable {
-        run_egress(std::move(pkt), eport, 0);
-      });
+      schedule_egress(delay, EgressReplica{std::move(pkt), im.ucast_port, 0});
       return;
     }
     case Destination::kMulticast: {
       const auto& members = mcast_.members(im.mcast_group);
       if (members.empty()) return;
       const double mean = cfg_.timing.mcast_delay_ns(pkt->size());
-      if (members.size() == 1) {
-        // The common shape (one loop replica + one wire replica handled as
-        // two singleton groups, or a plain single-member group): no
-        // batch bookkeeping, no vector.
-        const McastMember& m = members.front();
-        // When the ingress pass kept no other reference (fused fast path),
-        // the sole member can reuse the original buffer instead of copying.
-        auto copy = pkt.use_count() == 1 ? std::move(pkt) : net::make_packet(*pkt);
-        copy->meta().replica_index = m.rid;
-        const double d =
-            ingress + TimingModel::jittered(rng_, mean, cfg_.timing.mcast_jitter_sigma_ns);
-        replicas_->inc();
-        ev_.schedule_in(static_cast<sim::TimeNs>(std::llround(d)),
-                        [this, copy = std::move(copy), port = m.port, rid = m.rid]() mutable {
-                          run_egress(std::move(copy), port, rid);
-                        });
-        return;
-      }
       // Group replicas by TM arrival tick so each distinct tick costs one
       // event instead of one per replica. Jitter is still drawn per member
       // in member order (the rng sequence is part of the determinism
@@ -216,7 +195,7 @@ void SwitchAsic::to_traffic_manager(net::PacketPtr pkt, IntrinsicMeta im) {
       // replicas execute in exactly the order the per-replica schedule
       // produced: same-tick replicas were already consecutive by sequence.
       // The scratch vector is a member so the whole fan-out allocates
-      // nothing once warm; a heap-backed batch is built only for the rare
+      // nothing once warm; a heap-backed group is built only for the rare
       // multi-replica tick.
       auto& reps = mcast_scratch_;
       reps.clear();
@@ -233,139 +212,81 @@ void SwitchAsic::to_traffic_manager(net::PacketPtr pkt, IntrinsicMeta im) {
             ingress + TimingModel::jittered(rng_, mean, cfg_.timing.mcast_jitter_sigma_ns);
         replicas_->inc();
         reps.push_back(PendingReplica{static_cast<sim::TimeNs>(std::llround(d)),
-                                      std::move(copy), m.port, m.rid});
+                                      EgressReplica{std::move(copy), m.port, m.rid}});
       }
       for (std::size_t i = 0; i < reps.size(); ++i) {
-        if (reps[i].pkt == nullptr) continue;  // already consumed by a batch
+        if (reps[i].r.pkt == nullptr) continue;  // already in an earlier group
+        const sim::TimeNs tick = reps[i].tick;
         std::size_t same = 0;
         for (std::size_t j = i + 1; j < reps.size(); ++j) {
-          if (reps[j].pkt != nullptr && reps[j].tick == reps[i].tick) ++same;
+          if (reps[j].r.pkt != nullptr && reps[j].tick == tick) ++same;
         }
         if (same == 0) {
-          ev_.schedule_in(reps[i].tick, [this, copy = std::move(reps[i].pkt),
-                                         port = reps[i].port, rid = reps[i].rid]() mutable {
-            run_egress(std::move(copy), port, rid);
-          });
+          schedule_egress(tick, std::move(reps[i].r));
           continue;
         }
-        EgressBatch batch;
-        batch.reserve(same + 1);
-        const sim::TimeNs tick = reps[i].tick;
-        batch.push_back(EgressReplica{std::move(reps[i].pkt), reps[i].port, reps[i].rid});
-        for (std::size_t j = i + 1; j < reps.size(); ++j) {
-          if (reps[j].pkt != nullptr && reps[j].tick == tick) {
-            batch.push_back(EgressReplica{std::move(reps[j].pkt), reps[j].port, reps[j].rid});
+        std::vector<EgressReplica> group;
+        group.reserve(same + 1);
+        for (std::size_t j = i; j < reps.size(); ++j) {
+          if (reps[j].r.pkt != nullptr && reps[j].tick == tick) {
+            group.push_back(std::move(reps[j].r));
           }
         }
-        ev_.schedule_in(tick, [this, batch = std::move(batch)]() mutable {
-          run_egress_batch(std::move(batch));
-        });
+        ev_.schedule_in(tick, [this, group = std::move(group)]() mutable { run_egress(group); });
       }
       return;
     }
   }
 }
 
-void SwitchAsic::run_egress(net::PacketPtr pkt, std::uint16_t eport, std::uint16_t rid) {
-  if (fastpath_ != nullptr && fastpath_->try_egress(pkt, eport, rid, ev_.now())) {
-    finish_egress(std::move(pkt), eport);
-    return;
-  }
-  Phv phv = parser_.parse(pkt);
-  phv.intrinsic().rid = rid;
-  phv.set(net::FieldId::kMetaEgressPort, eport);
-  ActionContext ctx = make_ctx(phv);
-  egress_.apply(ctx);
-  phv.set(net::FieldId::kMetaEgressTstamp, ev_.now());
-  Parser::deparse(phv);
-  // The deparser's checksum engine only matters for packets that leave the
-  // box; recirculating templates skip it (their headers are untouched).
-  if (eport < ports_.size()) net::fix_checksums(*pkt);
-  finish_egress(std::move(pkt), eport);
-}
-
-void SwitchAsic::finish_egress(net::PacketPtr pkt, std::uint16_t eport) {
-  egress_packets_->inc();
-  const auto delay = static_cast<sim::TimeNs>(std::llround(cfg_.timing.egress_latency_ns));
-  if constexpr (telemetry::kEnabled) {
-    if (trace_.enabled()) {
-      trace_.complete("egress", ev_.now(), static_cast<std::uint64_t>(delay),
-                      telemetry::TraceRecorder::kTrackEgress);
-    }
-  }
-  // The emission time is a constant offset, so the emit runs inline with an
-  // explicit `now` instead of through its own scheduled event — every
-  // computed timestamp (egress_tstamp, wire serialization, recirc arrival)
-  // is identical, one event per replica cheaper.
-  emit(std::move(pkt), eport, ev_.now() + delay);
-}
-
-void SwitchAsic::run_egress_batch(EgressBatch batch) {
+void SwitchAsic::run_egress(std::span<EgressReplica> reps) {
+  const sim::TimeNs now = ev_.now();
   // Every replica in a tick group is a clone of one template packet, so
-  // either the whole batch is fused or none of it is: probe the first
+  // either the whole group is fused or none of it is: probe the first
   // replica and hold the rest to the same verdict.
-  if (fastpath_ != nullptr && !batch.empty() &&
-      fastpath_->try_egress(batch.front().pkt, batch.front().port, batch.front().rid,
-                            ev_.now())) {
-    for (std::size_t i = 1; i < batch.size(); ++i) {
-      if (!fastpath_->try_egress(batch[i].pkt, batch[i].port, batch[i].rid, ev_.now())) {
-        throw std::logic_error("SwitchAsic: mixed fused/interpreted egress batch");
+  const bool fused =
+      fastpath_ != nullptr && fastpath_->try_egress(reps.front().pkt, reps.front().port, now);
+  for (std::size_t i = 0; i < reps.size(); ++i) {
+    EgressReplica& r = reps[i];
+    if (fused) {
+      if (i > 0 && !fastpath_->try_egress(r.pkt, r.port, now)) {
+        throw std::logic_error("SwitchAsic: mixed fused/interpreted egress group");
       }
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) egress_packets_->inc();
-    const auto fdelay = static_cast<sim::TimeNs>(std::llround(cfg_.timing.egress_latency_ns));
-    if constexpr (telemetry::kEnabled) {
-      if (trace_.enabled()) {
-        trace_.complete("egress", ev_.now(), static_cast<std::uint64_t>(fdelay),
-                        telemetry::TraceRecorder::kTrackEgress);
-      }
-    }
-    const sim::TimeNs fat = ev_.now() + fdelay;
-    for (EgressReplica& r : batch) emit(std::move(r.pkt), r.port, fat);
-    return;
-  }
-  // Phase-batched egress for same-tick replicas. Parse and deparse touch
-  // only per-packet state, so batching them is invisible; the pipeline walk
-  // itself stays packet-outer (see Pipeline::apply_batch) so shared state
-  // is touched in exactly the per-replica-event order.
-  std::vector<Phv> phvs;
-  phvs.reserve(batch.size());
-  for (EgressReplica& r : batch) {
-    if (phvs.empty()) {
-      phvs.push_back(parser_.parse(r.pkt));
     } else {
-      // Every replica in a tick group is a byte-identical clone of one
-      // template packet, so the parse result differs only in which clone
-      // the PHV points at — copy instead of re-parsing the same bytes.
-      phvs.push_back(phvs.front());
-      phvs.back().packet = r.pkt;
+      // Each replica parses its own clone (equal bytes, separate buffer)
+      // and runs the whole walk before the next starts, so shared state
+      // (register ops, digests, rng draws) is touched in exactly the
+      // per-replica-event order.
+      Phv phv = parser_.parse(r.pkt);
+      phv.intrinsic().rid = r.rid;
+      phv.set(net::FieldId::kMetaEgressPort, r.port);
+      ActionContext ctx = make_ctx(phv);
+      egress_.apply(ctx);
+      phv.set(net::FieldId::kMetaEgressTstamp, now);
+      Parser::deparse(phv);
+      // The deparser's checksum engine only matters for packets that leave
+      // the box; recirculating templates skip it (their headers are
+      // untouched).
+      if (r.port < ports_.size()) net::fix_checksums(*r.pkt);
     }
-    Phv& phv = phvs.back();
-    phv.intrinsic().rid = r.rid;
-    phv.set(net::FieldId::kMetaEgressPort, r.port);
-  }
-  {
-    std::vector<ActionContext> ctxs;
-    ctxs.reserve(phvs.size());
-    for (Phv& phv : phvs) ctxs.push_back(make_ctx(phv));
-    egress_.apply_batch(ctxs);
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Phv& phv = phvs[i];
-    phv.set(net::FieldId::kMetaEgressTstamp, ev_.now());
-    Parser::deparse(phv);
-    if (batch[i].port < ports_.size()) net::fix_checksums(*batch[i].pkt);
     egress_packets_->inc();
   }
   const auto delay = static_cast<sim::TimeNs>(std::llround(cfg_.timing.egress_latency_ns));
   if constexpr (telemetry::kEnabled) {
     if (trace_.enabled()) {
-      trace_.complete("egress", ev_.now(), static_cast<std::uint64_t>(delay),
+      trace_.complete("egress", now, static_cast<std::uint64_t>(delay),
                       telemetry::TraceRecorder::kTrackEgress);
     }
   }
-  const sim::TimeNs at = ev_.now() + delay;
-  for (EgressReplica& r : batch) emit(std::move(r.pkt), r.port, at);
+  // Emission waits until every replica's pass: a loop replica's
+  // recirculation jitter and an egress random edit both draw from rng_, so
+  // this order is part of the byte contract. The emission time is a
+  // constant offset, so emit runs inline with an explicit `now` instead of
+  // through its own scheduled event — every computed timestamp
+  // (egress_tstamp, wire serialization, recirc arrival) is identical, one
+  // event per replica cheaper.
+  const sim::TimeNs at = now + delay;
+  for (EgressReplica& r : reps) emit(std::move(r.pkt), r.port, at);
 }
 
 void SwitchAsic::emit(net::PacketPtr pkt, std::uint16_t eport, sim::TimeNs now_ns) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -73,7 +74,6 @@ class SwitchAsic {
   std::uint64_t recirc_loops(std::size_t c) const { return recirc_[c].loops; }
 
   // --- programmable blocks ---------------------------------------------------
-  void set_parser(Parser p) { parser_ = std::move(p); }
   const Parser& parser() const { return parser_; }
   Pipeline& ingress() { return ingress_; }
   Pipeline& egress() { return egress_; }
@@ -100,7 +100,6 @@ class SwitchAsic {
   /// stay in this class either way, so the fused path cannot perturb the
   /// deterministic event structure. Pass nullptr to detach.
   void set_fastpath(FastPathHooks* hooks) { fastpath_ = hooks; }
-  FastPathHooks* fastpath() const { return fastpath_; }
 
   /// Build an ActionContext around `phv` at the current simulation time.
   /// Public for the fast-path engine, which drives interpreted table
@@ -138,35 +137,30 @@ class SwitchAsic {
   std::uint64_t injected_drops() const { return injected_drops_->value(); }
 
  private:
-  /// One multicast replica headed for egress.
+  /// One packet headed for egress: a unicast packet or a multicast replica.
   struct EgressReplica {
     net::PacketPtr pkt;
     std::uint16_t port = 0;
     std::uint16_t rid = 0;
   };
-  using EgressBatch = std::vector<EgressReplica>;
 
   /// Replica waiting to be grouped by TM arrival tick (multicast fan-out).
   struct PendingReplica {
     sim::TimeNs tick = 0;
-    net::PacketPtr pkt;
-    std::uint16_t port = 0;
-    std::uint16_t rid = 0;
+    EgressReplica r;
   };
 
   void enter_ingress(net::PacketPtr pkt);
-  void run_ingress(net::PacketPtr pkt);
   void to_traffic_manager(net::PacketPtr pkt, IntrinsicMeta im);
-  void run_egress(net::PacketPtr pkt, std::uint16_t eport, std::uint16_t rid);
-  /// Egress for all replicas that share one TM arrival tick: one event in,
-  /// one batched pipeline walk, one emit event out.
-  void run_egress_batch(EgressBatch batch);
-  /// Shared egress tail (counter + trace + emission) used by both the
-  /// interpreted and fused egress passes. Emission runs inline with
-  /// `now_ns` = pass time + egress latency: the constant offset makes the
-  /// scheduled-event hop redundant, so emit computes the same wire/recirc
-  /// timestamps one event earlier (the CPU punt keeps its event).
-  void finish_egress(net::PacketPtr pkt, std::uint16_t eport);
+  /// Schedule egress for a replica alone on its TM tick (every unicast
+  /// packet); the closure holds the replica inline, no vector.
+  void schedule_egress(sim::TimeNs delay, EgressReplica r);
+  /// The one egress leg. `reps` is every replica that shares one TM tick
+  /// (a span of one for unicast or a lone replica): each replica's pass
+  /// (fused, or parse/apply/deparse/checksum) runs in order, then one
+  /// trace span, then emission of every replica. Emission runs inline at
+  /// pass time + egress latency (the CPU punt keeps its own event).
+  void run_egress(std::span<EgressReplica> reps);
   void emit(net::PacketPtr pkt, std::uint16_t eport, sim::TimeNs now_ns);
 
   struct RecircChannel {
@@ -196,7 +190,7 @@ class SwitchAsic {
   ResourceAccountant resources_;
   /// Reused across to_traffic_manager calls so the multicast fan-out
   /// allocates nothing in steady state (singleton tick groups — the common
-  /// case — never touch a heap-backed batch at all).
+  /// case — never touch a heap-backed group at all).
   std::vector<PendingReplica> mcast_scratch_;
   FastPathHooks* fastpath_ = nullptr;
   std::function<void(net::PacketPtr)> cpu_punt_;

@@ -11,7 +11,6 @@ void Engine::bind(SwitchAsic& asic, htps::Sender& sender, htpr::Receiver& receiv
   receiver_ = &receiver;
   tmpl_.clear();
   tmpl_.resize(sender.template_count());
-  fused_templates_ = 0;
   fallback_templates_ = 0;
 
   for (std::uint32_t t = 0; t < tmpl_.size(); ++t) {
@@ -190,7 +189,6 @@ void Engine::bind_template(std::uint32_t tid, const TemplateFusion& verdict) {
 
   if (ts.blockers.empty()) {
     ts.fused = true;
-    ++fused_templates_;
   } else {
     ++fallback_templates_;
   }
@@ -227,8 +225,7 @@ bool Engine::try_ingress(const net::PacketPtr& pkt, IntrinsicMeta& out) {
 }
 
 bool Engine::try_egress(const net::PacketPtr& pkt, std::uint16_t egress_port,
-                        std::uint16_t rid, sim::TimeNs now) {
-  (void)rid;  // informational in the interpreted path too (nothing reads it)
+                        sim::TimeNs now) {
   const net::PacketMeta& m = pkt->meta();
   if (!m.is_template) return false;
   const std::uint32_t tid = m.template_id;

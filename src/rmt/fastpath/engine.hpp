@@ -186,16 +186,8 @@ class Engine final : public FastPathHooks {
             const FusedPlan& plan);
 
   bool try_ingress(const net::PacketPtr& pkt, IntrinsicMeta& out) override;
-  bool try_egress(const net::PacketPtr& pkt, std::uint16_t egress_port, std::uint16_t rid,
+  bool try_egress(const net::PacketPtr& pkt, std::uint16_t egress_port,
                   sim::TimeNs now) override;
-
-  std::size_t fused_templates() const { return fused_templates_; }
-  std::size_t fallback_templates() const { return fallback_templates_; }
-  /// Bind-time fallback reasons per template (plan blockers + binder
-  /// findings); empty vector for fused templates.
-  const std::vector<std::string>& fallback_reasons(std::uint32_t tid) const {
-    return tmpl_.at(tid).blockers;
-  }
 
  private:
   struct CsumPatch {
@@ -231,7 +223,6 @@ class Engine final : public FastPathHooks {
   std::vector<TemplateState> tmpl_;
   /// Scratch PHV for the maintenance pass (the pass never reads it).
   Phv maintenance_phv_;
-  std::size_t fused_templates_ = 0;
   std::size_t fallback_templates_ = 0;
   telemetry::Counter* fused_pkts_ = nullptr;
 };

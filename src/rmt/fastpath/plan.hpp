@@ -38,11 +38,6 @@ struct FusedPlan {
     }
     return true;
   }
-  std::size_t fusable_count() const {
-    std::size_t n = 0;
-    for (const auto& t : templates) n += t.fusable() ? 1 : 0;
-    return n;
-  }
 };
 
 /// Analyze one compiled task's templates against its queries.

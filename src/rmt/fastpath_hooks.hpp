@@ -27,10 +27,10 @@ class FastPathHooks {
   virtual bool try_ingress(const net::PacketPtr& pkt, IntrinsicMeta& out) = 0;
 
   /// Run the egress pipeline pass (editor + sent queries + deparse +
-  /// checksum fix) for `pkt` leaving `egress_port` as replica `rid`.
-  /// Returns false when not fused.
+  /// checksum fix) for `pkt` leaving `egress_port`. Returns false when not
+  /// fused.
   virtual bool try_egress(const net::PacketPtr& pkt, std::uint16_t egress_port,
-                          std::uint16_t rid, sim::TimeNs now) = 0;
+                          sim::TimeNs now) = 0;
 };
 
 }  // namespace ht::rmt

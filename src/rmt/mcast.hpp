@@ -34,8 +34,6 @@ class McastGroupTable {
     return it->second;
   }
 
-  std::size_t group_count() const { return groups_.size(); }
-
  private:
   std::unordered_map<std::uint16_t, std::vector<McastMember>> groups_;
 };

@@ -45,8 +45,6 @@ class Parser {
   /// Write all valid headers of `phv` back into its raw packet.
   static void deparse(Phv& phv);
 
-  std::size_t state_count() const { return states_.size(); }
-
   /// Read-only view of the parse graph, for static analysis (the symbolic
   /// path oracle walks states/transitions without ever parsing a packet).
   const std::unordered_map<std::string, ParseState>& states() const { return states_; }

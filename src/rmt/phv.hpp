@@ -49,14 +49,12 @@ class Phv {
   }
   bool valid(net::FieldId id) const { return valid_.test(index(id)); }
   bool modified(net::FieldId id) const { return modified_.test(index(id)); }
-  bool any_modified() const { return modified_.any(); }
   /// Modified containers as a bit mask (bit = FieldId value); the deparser
   /// walks set bits instead of scanning every field of every header.
   std::uint64_t modified_mask() const {
     static_assert(net::kFieldCount <= 64, "modified_mask needs one word");
     return modified_.to_ullong();
   }
-  void invalidate(net::FieldId id) { valid_.reset(index(id)); }
 
   bool header_valid(net::HeaderKind h) const {
     return header_valid_.test(static_cast<std::size_t>(h));

@@ -30,12 +30,6 @@ void Pipeline::apply(ActionContext& ctx) {
   }
 }
 
-void Pipeline::apply_batch(std::span<ActionContext> ctxs) {
-  // Packet-outer on purpose — see the header comment: cross-packet register
-  // order is part of the determinism contract.
-  for (ActionContext& ctx : ctxs) apply(ctx);
-}
-
 bool Pipeline::place() {
   // Sequential dependence: every table may read what the previous wrote, so
   // the conservative placement is one stage per table.

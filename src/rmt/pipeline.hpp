@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -64,13 +63,6 @@ class Pipeline {
 
   /// Run every (gated) table in order over the PHV.
   void apply(ActionContext& ctx);
-
-  /// Run the program over a batch of packets in one walk — how the traffic
-  /// manager pushes same-tick replicas through egress with a single event.
-  /// Deliberately packet-outer: all of packet i's table hits (register ops,
-  /// digests, rng draws) complete before packet i+1 starts, so the batch is
-  /// observationally identical to one event per packet.
-  void apply_batch(std::span<ActionContext> ctxs);
 
   /// Run a task-compiled program (built at install time by the fast-path
   /// binder) instead of the interpreted walk: per-table hit/miss booking

@@ -87,7 +87,6 @@ class MatchActionTable {
   const std::string& name() const { return name_; }
   const std::vector<MatchSpec>& key() const { return key_; }
   std::size_t size_hint() const { return size_hint_; }
-  std::size_t entry_count() const { return entries_.size(); }
 
   /// Install an entry; `keys` must parallel the declared key. Throws on
   /// arity mismatch or when an exact table exceeds its declared size.

@@ -16,7 +16,7 @@ void Port::send_at(TimeNs now_ns, net::PacketPtr pkt) {
     ++dropped_no_peer_;
     return;
   }
-  if (tx_in_flight_ >= tx_queue_capacity_) {
+  if (tx_in_flight_ >= kTxQueueCapacity) {
     ++dropped_queue_full_;
     return;
   }

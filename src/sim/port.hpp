@@ -55,7 +55,6 @@ class Port {
   /// without paying a scheduled event for the offset.
   void send_at(TimeNs now_ns, net::PacketPtr pkt);
 
-  void set_tx_queue_capacity(std::size_t cap) { tx_queue_capacity_ = cap; }
   std::uint64_t dropped_queue_full() const { return dropped_queue_full_; }
 
   /// Deliver a packet arriving from the wire (called by the peer's MAC).
@@ -132,7 +131,7 @@ class Port {
 
   double busy_until_ = 0.0;  ///< fractional ns; next TX can start here
   std::size_t tx_in_flight_ = 0;
-  std::size_t tx_queue_capacity_ = 16384;
+  static constexpr std::size_t kTxQueueCapacity = 16384;
   std::uint64_t dropped_queue_full_ = 0;
 
   std::uint64_t tx_packets_ = 0;

@@ -39,7 +39,6 @@ class Controller {
   explicit Controller(rmt::SwitchAsic& asic);
 
   rmt::SwitchAsic& asic() { return asic_; }
-  const PullModel& pull_model() const { return pull_model_; }
 
   // --- pull mode -----------------------------------------------------------
   /// Read one counter synchronously (advances no simulated time; the cost

@@ -27,6 +27,7 @@
 #include "core/hypertester.hpp"
 #include "dut/capture.hpp"
 #include "net/packet_pool.hpp"
+#include "sim/snapshot.hpp"
 #include "testutil.hpp"
 
 namespace ht {
@@ -105,6 +106,69 @@ TEST(GoldenRun, IdenticalResultsForFixedSeed) {
   // The scenario must actually exercise the hot path to prove anything.
   EXPECT_GT(a.egress_packets, 10000u);
   EXPECT_GT(a.registers.size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Same-tick multicast batch order, pinned across commits.
+// ---------------------------------------------------------------------------
+
+struct TickGroupPin {
+  std::uint64_t replicas_hash = 0;  ///< FNV-1a over every port's arrivals and bytes
+  std::uint64_t state_digest = 0;
+  std::size_t replicas = 0;
+};
+
+/// syn_flood with zero multicast jitter, so every fire's replicas share one
+/// TM tick and egress as one group. Its random sip/sport egress edits and
+/// the loop replica's recirculation jitter draw from the same ASIC rng, so
+/// the hash moves if any replica is emitted before every replica's pass.
+TickGroupPin tick_group_run(bool fastpath) {
+  TesterConfig cfg;
+  cfg.fastpath = fastpath;
+  cfg.asic.num_ports = 4;
+  cfg.asic.timing.mcast_jitter_sigma_ns = 0.0;
+  HyperTester tester(cfg);
+  std::vector<std::unique_ptr<test::PortSink>> sinks;
+  for (std::uint16_t p = 0; p < cfg.asic.num_ports; ++p) {
+    sinks.push_back(std::make_unique<test::PortSink>(
+        tester.events(), static_cast<std::uint16_t>(1000 + p), cfg.asic.port_rate_gbps));
+    sinks.back()->attach(tester.asic().port(p));
+  }
+  tester.load(apps::syn_flood(1, 80, {0, 1, 2}).task);
+  tester.start();
+  tester.run_for(sim::us(200));
+
+  TickGroupPin pin;
+  pin.replicas_hash = sim::fnv1a64(nullptr, 0);
+  for (std::uint16_t p = 0; p < sinks.size(); ++p) {
+    const auto& sink = *sinks[p];
+    pin.replicas_hash = sim::fnv1a64(reinterpret_cast<const std::uint8_t*>(&p), sizeof p,
+                                     pin.replicas_hash);
+    pin.replicas += sink.packets.size();
+    for (std::size_t i = 0; i < sink.packets.size(); ++i) {
+      const sim::TimeNs at = sink.arrival_times[i];
+      pin.replicas_hash = sim::fnv1a64(reinterpret_cast<const std::uint8_t*>(&at), sizeof at,
+                                       pin.replicas_hash);
+      const auto& bytes = sink.packets[i]->bytes();
+      pin.replicas_hash = sim::fnv1a64(bytes.data(), bytes.size(), pin.replicas_hash);
+    }
+  }
+  pin.state_digest = tester.state_digest();
+  return pin;
+}
+
+TEST(TickGroupPin, SameTickReplicasMatchPinnedBytes) {
+  // A change here means the same-tick batch order moved; never refresh
+  // these constants to make a refactor pass.
+  constexpr std::uint64_t kReplicasHash = 0xa66c600b0c794e18ull;
+  const TickGroupPin fused = tick_group_run(true);
+  const TickGroupPin interpreted = tick_group_run(false);
+  EXPECT_EQ(fused.replicas_hash, kReplicasHash);
+  EXPECT_EQ(interpreted.replicas_hash, kReplicasHash);
+  // The digest's Prometheus section holds ht_fastpath_* only when bound.
+  EXPECT_EQ(fused.state_digest, 0xdd278bb52eea280eull);
+  EXPECT_EQ(interpreted.state_digest, 0x6b674ab3e7016693ull);
+  EXPECT_GT(fused.replicas, 1000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -226,7 +290,9 @@ TEST(ShardedGoldenRun, CatalogByteIdenticalAcrossShardCounts) {
     // (receive-only tasks like port_bw legitimately emit no replicas).
     std::size_t golden_replicas = 0;
     for (const auto& recs : golden.per_sink) golden_replicas += recs.size();
-    if (golden.sends_traffic) EXPECT_GT(golden_replicas, 0u);
+    if (golden.sends_traffic) {
+      EXPECT_GT(golden_replicas, 0u);
+    }
 
     for (const std::size_t nshards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
       SCOPED_TRACE("shards=" + std::to_string(nshards));
