@@ -35,7 +35,7 @@ struct ShardedRun {
 /// line rate into a count-only capture sink on its own shard. No
 /// cross-shard links: the workload is embarrassingly parallel (the
 /// paper's fig10 story — one port per core), so wall-clock scaling
-/// measures the worker engine itself, not mailbox traffic.
+/// measures the worker engine itself, not cross-shard handoffs.
 ShardedRun run_sharded_throughput(std::size_t nshards, std::size_t testers) {
   using clock = std::chrono::steady_clock;
   TesterCluster cluster({.shards = nshards, .seed = 42});

@@ -231,7 +231,7 @@ DnsRun run_dns() {
 
 // ---------------------------------------------------------------------------
 // (d) Shard-count determinism on a scaled-down CPS run. The server sits on
-// its own shard once shards > 1, so every handshake crosses a link mailbox.
+// its own shard once shards > 1, so every handshake crosses a link outbox.
 struct DetRun {
   std::uint64_t digest = 0;
   std::uint64_t handshakes = 0;

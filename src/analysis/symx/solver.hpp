@@ -4,13 +4,10 @@
 // per-field predicates: parser transition selects, filter comparisons,
 // range/list membership, table hit/miss conditions. Every predicate over
 // an unsigned field of width <= 64 denotes a finite set of values, so the
-// whole theory solves with two primitives:
-//
-//   * IntervalSet — a canonical sorted union of inclusive [lo, hi]
-//     intervals over the field's domain. Comparisons, equalities and
-//     ranges all map onto it; meet/complement/witness are exact.
-//   * KeyBits (ntapi/header_space.hpp) — a 128-bit ternary cube for
-//     multi-field exact/ternary key reasoning (cover/shadow checks).
+// whole theory solves with one primitive, IntervalSet: a canonical sorted
+// union of inclusive [lo, hi] intervals over the field's domain.
+// Comparisons, equalities and ranges all map onto it; meet/complement/
+// witness are exact.
 //
 // A `Cube` is the conjunction over all constrained fields; a path is
 // feasible iff no field's set went empty, and `witness()` produces the

@@ -28,6 +28,21 @@ bool compare(Cmp cmp, std::uint64_t lhs, std::uint64_t rhs) {
 
 Receiver::Receiver(rmt::SwitchAsic& asic) : asic_(asic) {}
 
+std::optional<KeyedAggregation> keyed_aggregation(const QueryConfig& q) {
+  KeyedAggregation agg;
+  bool keyed = false;
+  for (const auto& op : q.ops) {
+    if (const auto* map = std::get_if<MapOp>(&op)) agg.key_fields = map->keys;
+    if (std::holds_alternative<ReduceOp>(op) || std::holds_alternative<DistinctOp>(op)) {
+      keyed = keyed || !agg.key_fields.empty();
+      if (const auto* red = std::get_if<ReduceOp>(&op)) agg.func = red->func;
+      if (std::holds_alternative<DistinctOp>(op)) agg.func = UpdateFunc::kDistinct;
+    }
+  }
+  if (!keyed) return std::nullopt;
+  return agg;
+}
+
 std::size_t Receiver::add_query(QueryConfig cfg) {
   if (installed_) throw std::logic_error("Receiver: add_query after install");
   queries_.push_back(std::move(cfg));
@@ -45,24 +60,14 @@ void Receiver::install() {
   chk_fail_ = &rf.create("htpr.chk_fail", std::max<std::size_t>(n, 1), 64);
   out_of_window_ = &rf.create("htpr.out_of_window", std::max<std::size_t>(n, 1), 64);
 
-  // Create a counter store for every keyed reduce/distinct query. The key
-  // fields come from the query's MapOp.
+  // Create a counter store for every keyed reduce/distinct query.
   stores_.resize(n);
   for (std::size_t q = 0; q < n; ++q) {
     auto& cfg = queries_[q];
-    std::vector<net::FieldId> keys;
-    bool keyed_agg = false;
-    for (const auto& op : cfg.ops) {
-      if (const auto* map = std::get_if<MapOp>(&op)) keys = map->keys;
-      if (std::holds_alternative<ReduceOp>(op) || std::holds_alternative<DistinctOp>(op)) {
-        keyed_agg = keyed_agg || !keys.empty();
-        if (const auto* red = std::get_if<ReduceOp>(&op)) cfg.store.func = red->func;
-        if (std::holds_alternative<DistinctOp>(op)) cfg.store.func = UpdateFunc::kDistinct;
-      }
-    }
-    if (keyed_agg) {
+    if (auto agg = keyed_aggregation(cfg)) {
       cfg.store.name = "htpr." + cfg.name;
-      cfg.store.hash.key_fields = keys;
+      cfg.store.hash.key_fields = std::move(agg->key_fields);
+      cfg.store.func = agg->func;
       stores_[q] = std::make_unique<CounterStore>(asic_, cfg.store);
     }
   }

@@ -202,23 +202,6 @@ class PacketPtr {
   /// Adopt a heap packet with no outstanding references (refcount becomes 1).
   static PacketPtr adopt(Packet* p) { return PacketPtr(p); }
 
-  /// Release ownership of this handle's reference WITHOUT dropping the
-  /// refcount: the raw pointer carries the reference until re-wrapped
-  /// with adopt_detached(). This is how a packet reference crosses a
-  /// LinkMailbox (sim/mailbox.hpp), whose ring slots must be plain data.
-  Packet* detach() {
-    Packet* p = p_;
-    p_ = nullptr;
-    return p;
-  }
-  /// Re-wrap a reference previously released with detach(). The refcount
-  /// is NOT incremented — the pointer already owns one reference.
-  static PacketPtr adopt_detached(Packet* p) {
-    PacketPtr out;
-    out.p_ = p;
-    return out;
-  }
-
   Packet* get() const { return p_; }
   Packet& operator*() const { return *p_; }
   Packet* operator->() const { return p_; }

@@ -7,95 +7,6 @@
 
 namespace ht::ntapi {
 
-// --- KeyBits: 128-bit ternary cube ------------------------------------------
-
-namespace {
-
-/// Split a (offset, width) span into the per-word (index, shift, bits)
-/// pieces, calling `fn(word, shift_in_word, bits, shift_in_value)`.
-template <typename Fn>
-void for_each_word(unsigned offset, unsigned width, Fn&& fn) {
-  unsigned done = 0;
-  while (done < width) {
-    const unsigned bit = offset + done;
-    const unsigned word = bit / KeyBits::kWordBits;
-    const unsigned in_word = bit % KeyBits::kWordBits;
-    const unsigned chunk = std::min(width - done, KeyBits::kWordBits - in_word);
-    fn(word, in_word, chunk, done);
-    done += chunk;
-  }
-}
-
-std::uint64_t chunk_mask(unsigned bits) {
-  return bits >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << bits) - 1);
-}
-
-}  // namespace
-
-void KeyBits::set_bits(unsigned offset, unsigned width, std::uint64_t value) {
-  if (width == 0 || offset >= kBits) return;  // zero-width field: no constraint
-  width = std::min(width, kBits - offset);
-  for_each_word(offset, width, [&](unsigned word, unsigned shift, unsigned bits, unsigned from) {
-    const std::uint64_t m = chunk_mask(bits);
-    const std::uint64_t v = (value >> from) & m;
-    value_[word] = (value_[word] & ~(m << shift)) | (v << shift);
-    mask_[word] |= m << shift;
-  });
-}
-
-std::uint64_t KeyBits::get_bits(unsigned offset, unsigned width) const {
-  if (width == 0 || offset >= kBits) return 0;
-  width = std::min(width, kBits - offset);
-  std::uint64_t out = 0;
-  for_each_word(offset, width, [&](unsigned word, unsigned shift, unsigned bits, unsigned from) {
-    out |= ((value_[word] >> shift) & chunk_mask(bits)) << from;
-  });
-  return out;
-}
-
-std::uint64_t KeyBits::get_mask(unsigned offset, unsigned width) const {
-  if (width == 0 || offset >= kBits) return 0;
-  width = std::min(width, kBits - offset);
-  std::uint64_t out = 0;
-  for_each_word(offset, width, [&](unsigned word, unsigned shift, unsigned bits, unsigned from) {
-    out |= ((mask_[word] >> shift) & chunk_mask(bits)) << from;
-  });
-  return out;
-}
-
-unsigned KeyBits::cared_count() const {
-  unsigned n = 0;
-  for (const std::uint64_t w : mask_) {
-    std::uint64_t v = w;
-    while (v != 0) {
-      v &= v - 1;
-      ++n;
-    }
-  }
-  return n;
-}
-
-std::optional<KeyBits> KeyBits::intersect(const KeyBits& a, const KeyBits& b) {
-  KeyBits out;
-  for (std::size_t w = 0; w < 2; ++w) {
-    const std::uint64_t both = a.mask_[w] & b.mask_[w];
-    if (((a.value_[w] ^ b.value_[w]) & both) != 0) return std::nullopt;
-    out.mask_[w] = a.mask_[w] | b.mask_[w];
-    out.value_[w] = (a.value_[w] & a.mask_[w]) | (b.value_[w] & b.mask_[w]);
-  }
-  return out;
-}
-
-bool KeyBits::covers(const KeyBits& other) const {
-  // Every bit this cube cares about must be cared about by `other` with
-  // the same value; `other` may constrain more bits (it is a subset).
-  for (std::size_t w = 0; w < 2; ++w) {
-    if ((mask_[w] & ~other.mask_[w]) != 0) return false;
-    if (((value_[w] ^ other.value_[w]) & mask_[w]) != 0) return false;
-  }
-  return true;
-}
-
 net::FieldId reversed_field(net::FieldId field) {
   using F = net::FieldId;
   switch (field) {

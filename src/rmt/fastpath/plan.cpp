@@ -4,22 +4,6 @@ namespace ht::rmt::fastpath {
 
 namespace {
 
-/// Mirror of Receiver::install()'s keyed-aggregation detection: a query is
-/// keyed when a reduce/distinct runs while the latest map projected a
-/// non-empty key list (it then aggregates into a CounterStore).
-bool uses_keyed_store(const htpr::QueryConfig& q) {
-  bool keyed = false;
-  bool have_keys = false;
-  for (const auto& op : q.ops) {
-    if (const auto* map = std::get_if<htpr::MapOp>(&op)) have_keys = !map->keys.empty();
-    if (std::holds_alternative<htpr::ReduceOp>(op) ||
-        std::holds_alternative<htpr::DistinctOp>(op)) {
-      keyed = keyed || have_keys;
-    }
-  }
-  return keyed;
-}
-
 /// Intrinsic metadata the parser loads from the simulation layer. The fast
 /// path resolves reads of these specially; a *write* would change what
 /// later interpreted stages observe, so edits targeting them block fusion.
@@ -58,7 +42,7 @@ FusedPlan analyze(const std::vector<htps::TemplateConfig>& templates,
     // Sent-traffic queries ride the same egress pass as the editor.
     for (const auto& q : queries) {
       if (q.source != htpr::QueryConfig::Source::kSent || q.template_id != t) continue;
-      if (uses_keyed_store(q)) {
+      if (htpr::keyed_aggregation(q)) {
         tf.blockers.push_back("sent query '" + q.name +
                               "' aggregates into a keyed counter store");
       }

@@ -1,7 +1,6 @@
 #include "sim/port.hpp"
 
 #include "net/headers.hpp"
-#include "sim/mailbox.hpp"
 
 namespace ht::sim {
 
@@ -46,12 +45,12 @@ void Port::send_at(TimeNs now_ns, net::PacketPtr pkt) {
   }
   const std::uint64_t line_bytes = pkt->line_size();
   if (remote_out_ != nullptr) {
-    // Cross-shard wire: the packet leaves through the link mailbox NOW, at
+    // Cross-shard wire: the packet leaves through the link outbox NOW, at
     // send time, stamped with the same arrival the local path computes —
     // waiting for the serialization-complete event could be too late, as
     // the destination shard's clock may pass `arrive` within this epoch.
     // A local event still retires the TX bookkeeping at the same instant.
-    remote_out_->push(std::move(pkt), arrive);
+    remote_out_->push_back(WireHandoff{std::move(pkt), arrive});
     ev_.schedule_at(arrive, [this, line_bytes] {
       --tx_in_flight_;
       tx_completed_line_bytes_ += line_bytes;
@@ -62,12 +61,16 @@ void Port::send_at(TimeNs now_ns, net::PacketPtr pkt) {
   ev_.schedule_at(arrive, [this, peer, line_bytes, pkt = std::move(pkt)]() mutable {
     --tx_in_flight_;
     tx_completed_line_bytes_ += line_bytes;
-    if (wire_hook) {
-      wire_hook(std::move(pkt), *peer);
-    } else {
-      peer->deliver(std::move(pkt));
-    }
+    finish_wire(std::move(pkt), *peer);
   });
+}
+
+void Port::finish_wire(net::PacketPtr pkt, Port& dst) {
+  if (wire_hook) {
+    wire_hook(std::move(pkt), dst);
+  } else {
+    dst.deliver(std::move(pkt));
+  }
 }
 
 void Port::deliver(net::PacketPtr pkt) {

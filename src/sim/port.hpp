@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/event_queue.hpp"
@@ -20,7 +21,12 @@
 
 namespace ht::sim {
 
-class LinkMailbox;
+/// One packet on a cross-shard link direction, stamped with its arrival
+/// time at the far port.
+struct WireHandoff {
+  net::PacketPtr pkt;
+  TimeNs arrival = 0;
+};
 
 class Port {
  public:
@@ -59,6 +65,11 @@ class Port {
 
   /// Deliver a packet arriving from the wire (called by the peer's MAC).
   void deliver(net::PacketPtr pkt);
+  /// The end of this port's wire: hand a packet that finished crossing it
+  /// to `wire_hook` when one is set, else to `dst.deliver`. Runs at the
+  /// arrival time on the receiving queue, on both the local and the
+  /// cross-shard path.
+  void finish_wire(net::PacketPtr pkt, Port& dst);
 
   /// Owner-device hook: invoked at packet arrival time.
   std::function<void(net::PacketPtr)> on_receive;
@@ -71,14 +82,13 @@ class Port {
   std::function<void(net::PacketPtr, Port& dst)> wire_hook;
 
   /// Cross-shard wiring (sim/shard.hpp): when set, serialized packets are
-  /// pushed into the link mailbox at send time — stamped with the exact
-  /// arrival the intra-shard path would compute — instead of being
-  /// delivered through a local event; the ShardGroup's epoch barrier
-  /// schedules the delivery on the destination shard. When this port also
-  /// has a wire_hook, the drain schedules the hook invocation at the
-  /// stamped arrival on the *destination* shard's queue, so chaos state
-  /// only ever mutates on the receiving thread (shard-safe chaos).
-  void set_remote_out(LinkMailbox* mailbox) { remote_out_ = mailbox; }
+  /// appended to this outbox at send time — stamped with the exact arrival
+  /// the intra-shard path would compute — instead of being delivered
+  /// through a local event; the ShardGroup's epoch barrier schedules
+  /// finish_wire at the stamped arrival on the *destination* shard's
+  /// queue, so chaos state only ever mutates on the receiving thread
+  /// (shard-safe chaos).
+  void set_remote_out(std::vector<WireHandoff>* outbox) { remote_out_ = outbox; }
   bool cross_shard() const { return remote_out_ != nullptr; }
 
   /// Administrative link state — the crash-fault primitive (sim/fault.hpp
@@ -127,7 +137,7 @@ class Port {
   double rate_gbps_;
   Port* peer_ = nullptr;
   TimeNs propagation_ns_ = 0;
-  LinkMailbox* remote_out_ = nullptr;
+  std::vector<WireHandoff>* remote_out_ = nullptr;
 
   double busy_until_ = 0.0;  ///< fractional ns; next TX can start here
   std::size_t tx_in_flight_ = 0;

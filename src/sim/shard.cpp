@@ -88,7 +88,7 @@ void ShardGroup::connect(Port& a, std::size_t shard_a, Port& b, std::size_t shar
     dir->src_port = &src;
     dir->dst_port = &dst;
     dir->dst_shard = &dst_shard;
-    src.set_remote_out(&dir->mailbox);
+    src.set_remote_out(&dir->outbox);
     // Conservative per-direction lookahead: any packet sent at time t
     // arrives at >= t + floor(min serialization) + propagation, where the
     // minimum serialization is an empty frame's wire overhead at the
@@ -116,9 +116,10 @@ std::uint64_t ShardGroup::run_until(TimeNs deadline) {
     epoch_now_ = std::max(epoch_now_, target);
     ++stats_.epochs;
     // Barrier: every worker has published its epoch and waits for the next
-    // generation, so the drain below — including packet transfers that
-    // touch both shards' pools — is race-free by phase separation.
-    const std::size_t due = drain_mailboxes(deadline);
+    // generation, so the drain below — which reads the outboxes and touches
+    // both shards' pools and the destination queues — is race-free by
+    // phase separation. The barrier is the only cross-shard handoff.
+    const std::size_t due = drain_outboxes(deadline);
     // Handoffs stamped at or before the deadline still need event time on
     // their destination shard; rerun until the edge is quiet. Each rerun's
     // sends arrive at least 1 ns later, so this terminates.
@@ -133,11 +134,7 @@ std::uint64_t ShardGroup::total_executed() const {
   return n;
 }
 
-ShardGroup::SyncStats ShardGroup::sync_stats() const {
-  SyncStats out = stats_;
-  for (const auto& dir : links_) out.backpressure += dir->mailbox.stats().backpressure;
-  return out;
-}
+ShardGroup::SyncStats ShardGroup::sync_stats() const { return stats_; }
 
 EventQueue::SlabStats ShardGroup::aggregate_slab_stats() const {
   EventQueue::SlabStats out;
@@ -220,28 +217,29 @@ void ShardGroup::worker_main(std::size_t shard_idx) {
   }
 }
 
-std::size_t ShardGroup::drain_mailboxes(TimeNs deadline) {
+std::size_t ShardGroup::drain_outboxes(TimeNs deadline) {
   std::size_t due = 0;
   for (const auto& dir : links_) {
     Port* src = dir->src_port;
     Port* dst = dir->dst_port;
     Shard* dst_shard = dir->dst_shard;
-    dir->mailbox.drain([&](net::PacketPtr pkt, TimeNs arrival) {
+    for (WireHandoff& h : dir->outbox) {
       ++stats_.handoffs;
-      if (arrival <= deadline) ++due;
-      net::PacketPtr local = transfer(std::move(pkt), dst_shard->pool());
-      // Mirror the intra-shard delivery event: a chaos hook on the sending
+      ++stats_.handoffs_copied;
+      if (h.arrival <= deadline) ++due;
+      // Copy into the destination pool, so the destination thread releases
+      // only its own storage; clear() below drops the source reference
+      // while the source pool is quiescent.
+      net::PacketPtr local = dst_shard->pool().acquire_copy(*h.pkt);
+      // The intra-shard delivery event's tail: a chaos hook on the sending
       // port runs at the stamped arrival on the DESTINATION queue, so all
       // injector state lives on the receiving thread (hooks are only set
-      // during setup, so reading src->wire_hook here is race-free).
-      dst_shard->ev().schedule_at(arrival, [src, dst, p = std::move(local)]() mutable {
-        if (src->wire_hook) {
-          src->wire_hook(std::move(p), *dst);
-        } else {
-          dst->deliver(std::move(p));
-        }
+      // during setup, so reading src->wire_hook there is race-free).
+      dst_shard->ev().schedule_at(h.arrival, [src, dst, p = std::move(local)]() mutable {
+        src->finish_wire(std::move(p), *dst);
       });
-    });
+    }
+    dir->outbox.clear();
   }
   return due;
 }
@@ -261,22 +259,6 @@ void ShardGroup::write_state(SnapshotWriter& w) const {
     w.u64(s->ev().executed());
     w.str(s->rng().state_string());
   }
-}
-
-net::PacketPtr ShardGroup::transfer(net::PacketPtr pkt, net::PacketPool& dst_pool) {
-  // Steal (move the storage itself across) only when this is the sole
-  // reference AND a later release on the destination shard's thread is
-  // safe: the storage already belongs to the destination pool, or to no
-  // pool at all (plain heap delete is thread-safe). Otherwise copy into
-  // the destination pool and release the source reference here, at the
-  // barrier, where the source pool is quiescent.
-  if (pkt.use_count() == 1 &&
-      (pkt->home_pool() == &dst_pool || pkt->home_pool() == nullptr)) {
-    ++stats_.handoffs_stolen;
-    return pkt;
-  }
-  ++stats_.handoffs_copied;
-  return dst_pool.acquire_copy(*pkt);
 }
 
 }  // namespace ht::sim

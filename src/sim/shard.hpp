@@ -6,15 +6,16 @@
 // the group's run seed), and its own PacketPool. Components constructed
 // against a shard's queue — a whole HyperTester, a DUT endpoint — share
 // NOTHING mutable with components on other shards; the only cross-shard
-// edges are links (sim::Port wire paths), which hand packets over
-// through per-link SPSC mailboxes (sim/mailbox.hpp).
+// edges are links (sim::Port wire paths). Each link direction is a plain
+// outbox (a vector of sim::WireHandoff) that the sending shard appends to
+// during an epoch and the barrier empties.
 //
 // The ShardGroup runs shard 0 on the calling thread and every other shard
 // on its own std::thread worker, in epochs of conservative lookahead
 // L = min over cross-shard link directions of (propagation + minimum
 // serialization time). Any packet sent during the epoch [T, T+L) arrives
 // at >= T+L, so within an epoch every shard can execute independently; at
-// the epoch barrier the calling thread drains all mailboxes in fixed link
+// the epoch barrier the calling thread drains all outboxes in fixed link
 // order and schedules the deliveries on the destination queues. That
 // drain order — and the per-shard (time, seq) order inside each queue —
 // makes results byte-identical run-to-run AND across worker interleavings.
@@ -24,7 +25,7 @@
 // counters, store fingerprints, replica bytes, arrival timestamps,
 // Prometheus text — are byte-identical across shard counts {1, 2, 4, 8}
 // and across repeated runs. The contract holds because (a) arrival
-// timestamps are computed identically on the intra-shard and mailbox
+// timestamps are computed identically on the intra-shard and outbox
 // paths, (b) per-link FIFO order is preserved, and (c) components placed
 // together share no state, so their same-timestamp interleaving is
 // unobservable. Randomness consumed by components is keyed to the
@@ -47,7 +48,6 @@
 
 #include "net/packet_pool.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/mailbox.hpp"
 #include "sim/port.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
@@ -112,7 +112,7 @@ class ShardGroup {
 
   /// Wire two ports full duplex, like Port::connect on both ends. When
   /// the ports live on different shards the wire becomes a cross-shard
-  /// edge: each direction gets an SPSC mailbox, and the link's
+  /// edge: each direction gets an outbox, and the link's
   /// propagation + minimum serialization time joins the conservative
   /// lookahead (the epoch length). A chaos wire hook on a cross-shard
   /// direction is supported: the barrier drain schedules the hook
@@ -133,7 +133,7 @@ class ShardGroup {
   /// time. With size() == 1 this tracks the queue's own clock.
   TimeNs now() const { return epoch_now_; }
 
-  /// Advance every shard to `deadline` (epoch loop + mailbox barriers).
+  /// Advance every shard to `deadline` (epoch loop + outbox drains).
   /// Returns the number of events executed across all shards. With
   /// size() == 1, one epoch: EventQueue::run_until on the calling thread.
   /// Multi-shard groups must be driven through this call only — do not
@@ -150,9 +150,8 @@ class ShardGroup {
   struct SyncStats {
     std::uint64_t epochs = 0;            ///< barrier rounds completed
     std::uint64_t handoffs = 0;          ///< packets that crossed a shard boundary
-    std::uint64_t handoffs_stolen = 0;   ///< moved without a copy (sole ref, compatible pool)
-    std::uint64_t handoffs_copied = 0;   ///< copied into the destination shard's pool
-    std::uint64_t backpressure = 0;      ///< mailbox ring overflows (spilled, not lost)
+    std::uint64_t handoffs_copied = 0;   ///< copied into the destination pool (== handoffs)
+    std::uint64_t backpressure = 0;      ///< always 0: an outbox grows instead of overflowing
   };
   SyncStats sync_stats() const;
 
@@ -164,7 +163,7 @@ class ShardGroup {
 
   /// Serialize the engine-level replay-invariant state (shard count, run
   /// seed, lookahead, per-shard clock/executed/pending and RNG stream)
-  /// into `w` as one "engine" section. Epoch/steal/pool statistics are
+  /// into `w` as one "engine" section. Epoch/handoff/pool statistics are
   /// deliberately excluded: they depend on how the run was sliced into
   /// run_until calls, not on the simulated state (DESIGN.md §14).
   void write_state(SnapshotWriter& w) const;
@@ -172,8 +171,8 @@ class ShardGroup {
  private:
   /// One direction of a cross-shard link.
   struct CrossDir {
-    LinkMailbox mailbox;
-    Port* src_port = nullptr;  ///< for its wire_hook at drain time
+    std::vector<WireHandoff> outbox;  ///< appended to by the source shard only
+    Port* src_port = nullptr;  ///< its finish_wire ends the delivery
     Port* dst_port = nullptr;
     Shard* dst_shard = nullptr;
   };
@@ -188,13 +187,15 @@ class ShardGroup {
   std::uint64_t run_shards_until(TimeNs target);
   /// One shard's share of an epoch, its exception parked in its slot.
   void run_epoch(std::size_t shard_idx, TimeNs target);
-  /// Drain all mailboxes in link order; returns the number of handoffs
-  /// whose arrival is <= `deadline` (i.e. that still need event time).
-  std::size_t drain_mailboxes(TimeNs deadline);
-  net::PacketPtr transfer(net::PacketPtr pkt, net::PacketPool& dst_pool);
+  /// Drain all outboxes in link order, FIFO within each; returns the
+  /// number of handoffs whose arrival is <= `deadline` (i.e. that still
+  /// need event time).
+  std::size_t drain_outboxes(TimeNs deadline);
 
   std::uint64_t run_seed_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Declared after shards_: destroyed first, so packets still buffered in
+  /// an outbox (a run that threw mid-epoch) release into live pools.
   std::vector<std::unique_ptr<CrossDir>> links_;
   TimeNs lookahead_ = 0;
   TimeNs epoch_now_ = 0;
@@ -203,9 +204,9 @@ class ShardGroup {
   // --- epoch barrier (with no workers when size() == 1) ------------------
   // The caller writes target_ (and stop_), then bumps generation_ with
   // release order; a worker acquires the new generation before reading
-  // them. Each worker publishes its epoch (queue, pool, mailbox, slot) by
+  // them. Each worker publishes its epoch (queue, pool, outboxes, slot) by
   // decrementing pending_workers_ with acq_rel order; the caller acquires
-  // zero before it reads the slots and drains the mailboxes. Both sides
+  // zero before it reads the slots and drains the outboxes. Both sides
   // spin briefly, then park in std::atomic::wait.
   /// Per-shard epoch result, written by the shard's own thread.
   struct alignas(64) EpochSlot {

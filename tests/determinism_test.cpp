@@ -210,7 +210,7 @@ struct ShardRunResult {
 
 /// Two testers, each wired to two sinks. Testers go on shards 2t % n and
 /// their sinks on (2t+1) % n, so every shard count above 1 pushes all
-/// replica traffic through cross-shard link mailboxes.
+/// replica traffic through cross-shard link outboxes.
 ShardRunResult run_sharded_catalog_task(const ntapi::Task& task, std::size_t nshards) {
   constexpr std::size_t kTesters = 2;
   constexpr std::size_t kSinkPorts = 2;

@@ -1,11 +1,12 @@
-// Sharded-engine unit tests (DESIGN.md §13): the per-link SPSC mailbox
-// (FIFO across the ring/spill boundary, counted backpressure, epoch-edge
-// arrivals), the splitmix64 per-shard seed fanout, and the ShardGroup
-// scheduler itself — cross-shard delivery must be timestamp-identical to
-// a co-placed link, handoffs must steal or copy correctly, the worker
-// pool must execute every shard's events exactly once, the epoch barrier
-// must survive thousands of short epochs on an oversubscribed host, and
-// an exception thrown by an event must reach the caller intact.
+// Sharded-engine unit tests (DESIGN.md §13): the splitmix64 per-shard seed
+// fanout and the ShardGroup scheduler — cross-shard delivery must be
+// timestamp- and order-identical to a co-placed link (also for a drain far
+// larger than a typical epoch's), arrivals at the epoch edge must land in
+// the same call, handoffs must be copied into the destination pool, the
+// worker pool must execute every shard's events exactly once, the epoch
+// barrier must survive thousands of short epochs on an oversubscribed
+// host, an exception thrown by an event must reach the caller intact, and
+// teardown after it must release every buffered handoff.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,73 +16,17 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
 #include "sim/fault.hpp"
-#include "sim/mailbox.hpp"
 #include "sim/random.hpp"
 #include "sim/shard.hpp"
 
 namespace ht {
 namespace {
-
-TEST(LinkMailbox, DrainsInFifoPushOrder) {
-  sim::LinkMailbox box(8);
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    auto pkt = net::make_packet(16, static_cast<std::uint8_t>(i));
-    pkt->meta().replica_index = i;
-    box.push(std::move(pkt), 100 + i);
-  }
-  std::vector<std::uint32_t> order;
-  std::vector<sim::TimeNs> arrivals;
-  const std::size_t n = box.drain([&](net::PacketPtr pkt, sim::TimeNs at) {
-    order.push_back(pkt->meta().replica_index);
-    arrivals.push_back(at);
-  });
-  EXPECT_EQ(n, 6u);
-  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(arrivals, (std::vector<sim::TimeNs>{100, 101, 102, 103, 104, 105}));
-  EXPECT_TRUE(box.empty());
-}
-
-TEST(LinkMailbox, FullRingSpillsWithoutLossAndKeepsFifo) {
-  sim::LinkMailbox box(4);  // ring capacity 4 (bit_ceil)
-  ASSERT_EQ(box.capacity(), 4u);
-  constexpr std::uint32_t kTotal = 20;
-  for (std::uint32_t i = 0; i < kTotal; ++i) {
-    auto pkt = net::make_packet(16);
-    pkt->meta().replica_index = i;
-    box.push(std::move(pkt), i);
-  }
-  EXPECT_EQ(box.stats().pushed, kTotal);
-  EXPECT_EQ(box.stats().backpressure, kTotal - 4u);  // everything past the ring
-
-  std::vector<std::uint32_t> order;
-  const std::size_t n = box.drain(
-      [&](net::PacketPtr pkt, sim::TimeNs) { order.push_back(pkt->meta().replica_index); });
-  EXPECT_EQ(n, kTotal);
-  ASSERT_EQ(order.size(), kTotal);
-  for (std::uint32_t i = 0; i < kTotal; ++i) EXPECT_EQ(order[i], i);  // FIFO preserved
-  EXPECT_EQ(box.stats().high_water, kTotal);
-  EXPECT_TRUE(box.empty());
-
-  // The ring is fully reusable after a drain.
-  box.push(net::make_packet(16), 7);
-  EXPECT_EQ(box.stats().backpressure, kTotal - 4u);  // no new overflow
-  box.drain([](net::PacketPtr, sim::TimeNs) {});
-}
-
-TEST(LinkMailbox, DestructionReleasesBufferedPackets) {
-  net::PacketPool pool;
-  {
-    sim::LinkMailbox box(4);
-    for (int i = 0; i < 6; ++i) box.push(pool.acquire(32), 10);
-    EXPECT_EQ(pool.stats().live, 6u);
-  }  // dtor drains: all six references released back to the pool
-  EXPECT_EQ(pool.stats().live, 0u);
-}
 
 TEST(SplitMix64, MatchesReferenceVector) {
   // First three outputs of Vigna's reference splitmix64.c for state 0
@@ -111,33 +56,44 @@ TEST(SplitMix64, StreamSeedsAreDecorrelatedAndReproducible) {
   EXPECT_NE(a.next_u64(), b.next_u64());
 }
 
-/// Two ports wired across shards must observe byte-identical timestamps
-/// to the same ports co-placed on one shard.
+/// Two ports wired across shards must observe byte-identical timestamps,
+/// in the same order, as the same ports co-placed on one shard: for three
+/// frames over a 500 ns link, and for 2,000 frames sent inside the first
+/// epoch of a 20 us link, which the barrier then drains in one go.
 TEST(ShardGroup, CrossShardDeliveryMatchesCoPlacedTimestamps) {
   constexpr double kRate = 100.0;
-  constexpr sim::TimeNs kProp = 500;
-  const auto run = [&](std::size_t nshards, std::size_t shard_b) {
+  // (arrival, send index) per frame, in delivery order.
+  using Log = std::vector<std::pair<sim::TimeNs, std::uint32_t>>;
+  const auto run = [&](std::size_t nshards, std::size_t shard_b, sim::TimeNs prop,
+                       std::uint32_t frames) {
     sim::ShardGroup group(nshards, /*run_seed=*/7);
     sim::Port a(group.shard(0).ev(), 1, kRate);
     sim::Port b(group.shard(shard_b).ev(), 2, kRate);
-    group.connect(a, 0, b, shard_b, kProp);
-    std::vector<sim::TimeNs> arrivals;
+    group.connect(a, 0, b, shard_b, prop);
+    Log log;
     b.on_receive = [&](net::PacketPtr pkt) {
-      arrivals.push_back(pkt->meta().ingress_tstamp_ns);
+      log.emplace_back(pkt->meta().ingress_tstamp_ns, pkt->meta().replica_index);
     };
-    // Three sends at staggered times, queued behind each other.
-    for (int i = 0; i < 3; ++i) {
-      group.shard(0).ev().schedule_at(static_cast<sim::TimeNs>(i), [&a] {
-        a.send(net::make_packet(64));
+    // One send per ns, each queued behind the ones before it.
+    for (std::uint32_t i = 0; i < frames; ++i) {
+      group.shard(0).ev().schedule_at(static_cast<sim::TimeNs>(i), [&a, i] {
+        auto pkt = net::make_packet(64);
+        pkt->meta().replica_index = i;
+        a.send(std::move(pkt));
       });
     }
-    group.run_until(sim::us(10));
-    return arrivals;
+    group.run_until(prop + sim::us(20));
+    EXPECT_EQ(group.sync_stats().handoffs, shard_b == 0 ? 0u : frames);
+    return log;
   };
-  const std::vector<sim::TimeNs> co_placed = run(1, 0);
-  const std::vector<sim::TimeNs> cross = run(2, 1);
-  ASSERT_EQ(co_placed.size(), 3u);
-  EXPECT_EQ(co_placed, cross);
+  for (const auto& [prop, frames] : {std::pair<sim::TimeNs, std::uint32_t>{500, 3},
+                                     std::pair<sim::TimeNs, std::uint32_t>{sim::us(20), 2000}}) {
+    SCOPED_TRACE(std::to_string(frames) + " frames over " + std::to_string(prop) + " ns");
+    const Log co_placed = run(1, 0, prop, frames);
+    ASSERT_EQ(co_placed.size(), frames);
+    for (std::uint32_t i = 0; i < frames; ++i) EXPECT_EQ(co_placed[i].second, i);
+    EXPECT_EQ(run(2, 1, prop, frames), co_placed);
+  }
 }
 
 /// A handoff arriving exactly at the run_until deadline must still be
@@ -158,14 +114,18 @@ TEST(ShardGroup, EpochEdgeArrivalDeliveredAtDeadline) {
   EXPECT_EQ(group.sync_stats().handoffs, 1u);
 }
 
-TEST(ShardGroup, HandoffStealsCompatibleStorageAndCopiesTheRest) {
+/// Every handoff is copied into the destination shard's pool, whichever
+/// pool the sent packet came from, and the source reference is released
+/// at the barrier.
+TEST(ShardGroup, HandoffCopiesIntoDestinationPool) {
   sim::ShardGroup group(2, 7);
   sim::Port a(group.shard(0).ev(), 1, 100.0);
   sim::Port b(group.shard(1).ev(), 2, 100.0);
   group.connect(a, 0, b, 1, 500);
-  b.on_receive = [](net::PacketPtr) {};
+  std::vector<const net::PacketPool*> homes;
+  b.on_receive = [&homes](net::PacketPtr pkt) { homes.push_back(pkt->home_pool()); };
 
-  // Packet whose home pool IS the destination shard's pool: stolen.
+  // A packet whose home pool is already the destination shard's pool.
   {
     net::PoolBinding bind(&group.shard(1).pool());
     auto pkt = net::make_packet(64);
@@ -173,15 +133,19 @@ TEST(ShardGroup, HandoffStealsCompatibleStorageAndCopiesTheRest) {
       a.send(std::move(pkt));
     });
   }
-  // Packet from the wrong (default) pool: copied into shard 1's pool.
+  // A packet from the sending shard's own pool (bound while shard 0 runs).
   group.shard(0).ev().schedule_at(1000, [&a] { a.send(net::make_packet(64)); });
 
   group.run_until(sim::us(10));
   const auto stats = group.sync_stats();
   EXPECT_EQ(stats.handoffs, 2u);
-  EXPECT_EQ(stats.handoffs_stolen, 1u);
-  EXPECT_EQ(stats.handoffs_copied, 1u);
+  EXPECT_EQ(stats.handoffs_copied, 2u);
+  EXPECT_EQ(stats.backpressure, 0u);
   EXPECT_GE(stats.epochs, 2u);
+  const net::PacketPool* dst_pool = &group.shard(1).pool();
+  EXPECT_EQ(homes, (std::vector<const net::PacketPool*>{dst_pool, dst_pool}));
+  EXPECT_EQ(group.shard(0).pool().stats().live, 0u);
+  EXPECT_EQ(group.shard(1).pool().stats().live, 0u);
 }
 
 TEST(ShardGroup, WorkersExecuteEveryShardAndAggregateStats) {
@@ -359,7 +323,7 @@ void expect_throw_reaches_caller(std::size_t nshards, std::size_t thrower) {
       }
     }
     EXPECT_EQ(group.sync_stats().epochs, 0u);  // the failed epoch is not counted
-  }  // ~ShardGroup with a packet still in a mailbox: must join, not hang
+  }  // ~ShardGroup with a packet still in an outbox: must join, not hang
 }
 
 TEST(ShardGroup, ThrowOnCallerShardRethrowsAfterBarrier) {
@@ -387,6 +351,32 @@ TEST(ShardGroup, OneShardGroupResumesAfterACaughtThrow) {
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(group.now(), 100);
   EXPECT_EQ(group.sync_stats().epochs, 1u);  // only the clean epoch counts
+}
+
+/// A throwing epoch skips the drain, so packets sent cross-shard in it stay
+/// buffered in the link's outbox. Tearing the group down must release them
+/// into their (still live) home pool.
+TEST(ShardGroup, TeardownAfterAThrowingEpochReleasesBufferedHandoffs) {
+  net::PacketPool pool;  // declared first: outlives the group
+  {
+    sim::ShardGroup group(2, 7);
+    sim::Port a(group.shard(0).ev(), 1, 100.0);
+    sim::Port b(group.shard(1).ev(), 2, 100.0);
+    group.connect(a, 0, b, 1, 500);
+    b.on_receive = [](net::PacketPtr) {};
+    {
+      net::PoolBinding bind(&pool);
+      for (int i = 0; i < 3; ++i) {
+        group.shard(0).ev().schedule_at(0, [&a, pkt = net::make_packet(64)]() mutable {
+          a.send(std::move(pkt));
+        });
+      }
+    }
+    group.shard(0).ev().schedule_at(1, [] { throw std::runtime_error("event failed"); });
+    EXPECT_THROW(group.run_until(sim::us(10)), std::runtime_error);
+    EXPECT_EQ(pool.stats().live, 3u);
+  }
+  EXPECT_EQ(pool.stats().live, 0u);
 }
 
 TEST(ShardGroup, LowestShardExceptionWinsWhenSeveralThrow) {

@@ -1,6 +1,6 @@
 // Unit tests for the symbolic path oracle's building blocks: the
-// interval/bit-constraint solver, the 128-bit ternary key cubes, parser
-// path enumeration, the editor stream mirror, and rule shadow reasoning.
+// interval/bit-constraint solver, parser path enumeration, the editor
+// stream mirror, and rule shadow reasoning.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "apps/tasks.hpp"
 #include "net/headers.hpp"
 #include "ntapi/compiler.hpp"
-#include "ntapi/header_space.hpp"
 
 namespace ht {
 namespace {
@@ -20,7 +19,6 @@ using analysis::symx::Cube;
 using analysis::symx::IntervalSet;
 using analysis::symx::SymRule;
 using net::FieldId;
-using ntapi::KeyBits;
 
 // ---------------------------------------------------------------------------
 // IntervalSet
@@ -105,62 +103,6 @@ TEST(Cube, UnconstrainedFieldIsFullDomain) {
   const Cube c;
   EXPECT_FALSE(c.constrains(FieldId::kTcpDport));
   EXPECT_EQ(c.get(FieldId::kTcpDport).count(), 65536u);
-}
-
-// ---------------------------------------------------------------------------
-// KeyBits: 128-bit ternary cubes (header-space edge cases)
-
-TEST(KeyBits, ZeroWidthFieldIsANoOp) {
-  KeyBits k;
-  k.set_bits(17, 0, 0xFFFF);
-  EXPECT_EQ(k.cared_count(), 0u);
-  EXPECT_TRUE(k.complement_empty());
-  EXPECT_EQ(k.get_mask(17, 8), 0u);
-}
-
-TEST(KeyBits, FieldSpanningTheWordBoundary) {
-  // 32 bits at offset 48: straddles the 64-bit word boundary.
-  KeyBits k;
-  const std::uint64_t v = 0xDEADBEEFull;
-  k.set_bits(48, 32, v);
-  EXPECT_EQ(k.get_bits(48, 32), v);
-  EXPECT_EQ(k.get_mask(48, 32), 0xFFFFFFFFull);
-  EXPECT_EQ(k.cared_count(), 32u);
-  // The low word holds bits 48..63, the high word bits 64..79.
-  EXPECT_EQ(k.value_words()[0] >> 48, v & 0xFFFF);
-  EXPECT_EQ(k.value_words()[1] & 0xFFFF, v >> 16);
-}
-
-TEST(KeyBits, FullWidth128BitIntersection) {
-  KeyBits a;
-  a.set_bits(0, 64, 0x0123456789ABCDEFull);
-  a.set_bits(64, 64, 0xFEDCBA9876543210ull);
-  EXPECT_TRUE(a.is_full());
-  EXPECT_FALSE(a.complement_empty());
-
-  KeyBits b = a;
-  const auto both = KeyBits::intersect(a, b);
-  ASSERT_TRUE(both.has_value());
-  EXPECT_TRUE(*both == a);
-
-  KeyBits c = a;
-  c.set_bits(127, 1, (a.get_bits(127, 1) ^ 1u));  // flip the top bit
-  EXPECT_FALSE(KeyBits::intersect(a, c).has_value());
-}
-
-TEST(KeyBits, IntersectRefinesPartialCubes) {
-  KeyBits a;  // cares about bits 0..15
-  a.set_bits(0, 16, 0x1234);
-  KeyBits b;  // cares about bits 60..75 (spans the boundary)
-  b.set_bits(60, 16, 0xABCD);
-  const auto meet = KeyBits::intersect(a, b);
-  ASSERT_TRUE(meet.has_value());
-  EXPECT_EQ(meet->get_bits(0, 16), 0x1234u);
-  EXPECT_EQ(meet->get_bits(60, 16), 0xABCDu);
-  EXPECT_EQ(meet->cared_count(), 32u);
-  EXPECT_TRUE(a.covers(*meet));
-  EXPECT_TRUE(b.covers(*meet));
-  EXPECT_FALSE(meet->covers(a));
 }
 
 // ---------------------------------------------------------------------------
