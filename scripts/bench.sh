@@ -87,8 +87,7 @@ if [ "$RUN_L7" = 1 ]; then
   WROTE="$WROTE BENCH_l7.json"
 fi
 
-# The fig9 sidecars must carry the registry dump (always present; with
-# -DHT_TELEMETRY=OFF the histograms section is simply empty).
+# The fig9 sidecars must carry the registry dump.
 for f in BENCH_fig9.json BENCH_fig9_lossy.json; do
   grep -q '"telemetry":' "$f" || { echo "bench.sh: $f missing telemetry block" >&2; exit 1; }
 done

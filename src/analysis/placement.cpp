@@ -22,9 +22,6 @@ double index_bits(std::size_t buckets) {
 /// and state-delay reads (htps::EditOp::state_size default).
 constexpr std::size_t kStateRegisterEntries = 1 << 16;
 
-/// Trigger-FIFO capacity (stateless::TriggerFifo default).
-constexpr std::size_t kTriggerFifoCapacity = 1024;
-
 class UnitBuilder {
  public:
   explicit UnitBuilder(const AnalysisInput& in) : in_(in) {}
@@ -287,7 +284,7 @@ class UnitBuilder {
     u.usage.salu = 1;  // rear-counter RMW gates the lane writes
     u.usage.vliw_slots = static_cast<double>(w.lanes.size());
     u.usage.sram_kb =
-        kb(static_cast<double>(kTriggerFifoCapacity * (w.lanes.size() + 2)) * 8);
+        kb(static_cast<double>(w.capacity * (w.lanes.size() + 2)) * 8);
     u.registers.push_back({"trigfifo." + tid + ".rear", true});
     for (const auto lane : w.lanes) u.reads.push_back(lane);
     // Runs after the driving query's last operator.

@@ -25,9 +25,10 @@ HyperTester::HyperTester(TesterConfig cfg, sim::Shard& shard)
   auto& m = asic_.metrics();
   controller_.register_metrics(m);
   // Always 0; registered only so pinned Prometheus text and digests keep their bytes.
-  m.counter("ht_run_retries_total", {.help = "stalled run slices retried with backoff"});
-  m.counter("ht_run_failures_total",
-            {.help = "supervised runs that gave up (FailureReport emitted)"});
+  m.mirror_counter("ht_run_retries_total", [] { return std::uint64_t{0}; },
+                   {.help = "stalled run slices retried with backoff"});
+  m.mirror_counter("ht_run_failures_total", [] { return std::uint64_t{0}; },
+                   {.help = "supervised runs that gave up (FailureReport emitted)"});
   m.mirror_counter("ht_crash_events_total", [this] { return crash_events_; },
                    {.help = "process-level faults applied to this tester"});
   m.mirror_gauge("ht_tester_crashed",
@@ -38,11 +39,9 @@ HyperTester::HyperTester(TesterConfig cfg, sim::Shard& shard)
 void HyperTester::run_for(sim::TimeNs duration) {
   const sim::TimeNs start = ev_.now();
   home_->group().run_until(start + duration);
-  if constexpr (telemetry::kEnabled) {
-    if (asic_.trace().enabled()) {
-      asic_.trace().complete("run_for", start, ev_.now() - start,
-                             telemetry::TraceRecorder::kTrackTask);
-    }
+  if (asic_.trace().enabled()) {
+    asic_.trace().complete("run_for", start, ev_.now() - start,
+                           telemetry::TraceRecorder::kTrackTask);
   }
 }
 
@@ -54,30 +53,30 @@ void HyperTester::load(const ntapi::Task& task) {
   net::PoolBinding bind(&home_->pool());
   ntapi::Compiler compiler(asic_.config());
   compiled_ = compiler.compile(task);
-  if constexpr (telemetry::kEnabled) {
-    compiled_->annotate_trace(asic_.trace(), ev_.now());
-  }
+  compiled_->annotate_trace(asic_.trace(), ev_.now());
 
   sender_ = std::make_unique<htps::Sender>(asic_);
   receiver_ = std::make_unique<htpr::Receiver>(asic_);
 
   // Trigger FIFOs for stateless connections: create them first so both
   // sides can be wired.
-  std::map<std::size_t, stateless::TriggerFifo*> fifo_of_trigger;
-  std::map<std::size_t, std::vector<stateless::TriggerFifo*>> fifos_of_query;
+  std::map<std::size_t, regfifo::RegisterFifo*> fifo_of_trigger;
+  std::map<std::size_t, std::vector<htpr::TriggerExtract>> extracts_of_query;
   for (const auto& wiring : compiled_->fifos) {
-    fifos_.push_back(std::make_unique<stateless::TriggerFifo>(
-        asic_.registers(), "trigfifo." + std::to_string(wiring.trigger_index), wiring.lanes));
-    fifo_of_trigger[wiring.trigger_index] = fifos_.back().get();
-    fifos_of_query[wiring.query_index].push_back(fifos_.back().get());
+    fifos_.push_back(std::make_unique<regfifo::RegisterFifo>(
+        asic_.registers(), "trigfifo." + std::to_string(wiring.trigger_index), wiring.capacity,
+        wiring.lanes.size()));
+    regfifo::RegisterFifo* fifo = fifos_.back().get();
+    fifo_of_trigger[wiring.trigger_index] = fifo;
+    extracts_of_query[wiring.query_index].push_back({.fifo = fifo, .lanes = wiring.lanes});
   }
   for (const auto& f : fifos_) {
-    const stateless::TriggerFifo* tf = f.get();
+    const regfifo::RegisterFifo* fifo = f.get();
     asic_.metrics().mirror_counter(
-        "ht_regfifo_overflows_total", [tf] { return tf->fifo().overflows(); },
-        {.labels = {{"fifo", tf->fifo().name()}},
+        "ht_regfifo_overflows_total", [fifo] { return fifo->overflows(); },
+        {.labels = {{"fifo", fifo->name()}},
          .help = "trigger records lost to a full register FIFO",
-         .drop_source = tf->fifo().name() + ".overflows"});
+         .drop_source = fifo->name() + ".overflows"});
   }
 
   // HTPS: install templates (editor EditOps already reference lane
@@ -85,7 +84,7 @@ void HyperTester::load(const ntapi::Task& task) {
   for (std::size_t t = 0; t < compiled_->templates.size(); ++t) {
     htps::TemplateConfig cfg = compiled_->templates[t];
     const auto it = fifo_of_trigger.find(t);
-    if (it != fifo_of_trigger.end()) cfg.trigger_fifo = &it->second->fifo();
+    if (it != fifo_of_trigger.end()) cfg.trigger_fifo = it->second;
     sender_->add_template(std::move(cfg));
   }
   sender_->install();
@@ -101,9 +100,9 @@ void HyperTester::load(const ntapi::Task& task) {
     if (chaos_corrupts && cfg.source == htpr::QueryConfig::Source::kReceived) {
       cfg.integrity.verify_checksums = true;
     }
-    const auto it = fifos_of_query.find(q);
-    if (it != fifos_of_query.end()) {
-      for (auto* fifo : it->second) cfg.triggers.push_back(fifo->extract_spec());
+    const auto it = extracts_of_query.find(q);
+    if (it != extracts_of_query.end()) {
+      cfg.triggers.insert(cfg.triggers.end(), it->second.begin(), it->second.end());
     }
     receiver_->add_query(std::move(cfg));
   }

@@ -22,12 +22,12 @@
 #include "htpr/receiver.hpp"
 #include "htps/sender.hpp"
 #include "ntapi/compiler.hpp"
+#include "regfifo/register_fifo.hpp"
 #include "rmt/asic.hpp"
 #include "rmt/fastpath/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault.hpp"
 #include "sim/shard.hpp"
-#include "stateless/trigger_fifo.hpp"
 #include "switchcpu/controller.hpp"
 
 namespace ht {
@@ -162,7 +162,7 @@ class HyperTester {
   std::unique_ptr<htpr::Receiver> receiver_;
   std::unique_ptr<rmt::fastpath::Engine> fastpath_;
   bool cfg_fastpath_ = true;
-  std::vector<std::unique_ptr<stateless::TriggerFifo>> fifos_;
+  std::vector<std::unique_ptr<regfifo::RegisterFifo>> fifos_;
   std::vector<ChaosLink> chaos_links_;
   std::optional<ntapi::CompiledTask> compiled_;
   /// CPU DRAM: evicted (canonical id -> count) per digest type.

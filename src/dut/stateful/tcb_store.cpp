@@ -40,18 +40,6 @@ constexpr unsigned kCookieBucketShift = 26;
 
 }  // namespace
 
-const char* tcb_state_name(TcbState s) {
-  switch (s) {
-    case TcbState::kFree: return "free";
-    case TcbState::kSynRcvd: return "syn_rcvd";
-    case TcbState::kTlsHandshake: return "tls_handshake";
-    case TcbState::kEstablished: return "established";
-    case TcbState::kFinWait: return "fin_wait";
-    case TcbState::kTombstone: return "tombstone";
-  }
-  return "?";
-}
-
 TcbStore::TcbStore(TcbConfig cfg) : cfg_(cfg) {
   if (cfg_.capacity == 0 || !std::has_single_bit(cfg_.capacity)) {
     throw std::invalid_argument("TcbStore: capacity must be a power of two");

@@ -47,7 +47,6 @@ enum class TcbState : std::uint8_t {
 
 /// Number of live states (kFree..kFinWait); kTombstone is bookkeeping.
 inline constexpr std::size_t kTcbStateCount = 6;
-const char* tcb_state_name(TcbState s);
 
 /// Connection identity from the server's point of view. The local address
 /// is fixed per device, so (peer ip, peer port, local port) is the key —

@@ -6,8 +6,7 @@
 // kSynRcvd -> kTlsHandshake after the TCP handshake and stays there until
 // `client_flights` handshake records (first payload byte 0x16) have been
 // consumed, each answered by one server flight; only then does it reach
-// kEstablished and serve requests. The handshake duration lands in the
-// ht_dut_tls_handshake_ns histogram.
+// kEstablished and serve requests.
 #pragma once
 
 #include <cstddef>

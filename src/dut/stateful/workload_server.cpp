@@ -39,7 +39,6 @@ WorkloadServer::WorkloadServer(sim::EventQueue& ev, WorkloadConfig cfg)
       on_packet(std::move(pkt), idx);
     };
   }
-  register_metrics();
 }
 
 void WorkloadServer::attach(std::size_t i, sim::Port& switch_port,
@@ -119,9 +118,6 @@ void WorkloadServer::serve_payload(Tcb& tcb, const net::Packet& pkt,
     if (done) {
       tcb_.set_state(tcb, TcbState::kEstablished);
       ++tls_done_;
-      if (tls_hist_ != nullptr) {
-        tls_hist_->record((now_us() - tcb.created_us) * 1000ull);
-      }
     }
     reply_tcp(port_idx, pkt, flag::kPshAck, tcb.our_seq + 1,
               tcb.peer_seq + 1, tls_.flight_payload(),
@@ -218,7 +214,6 @@ void WorkloadServer::on_tcp(const net::Packet& pkt, std::size_t port_idx) {
       tcb->peer_seq = seq;
       tcb->our_seq = ack - 1;
       ++established_;
-      if (handshake_hist_ != nullptr) handshake_hist_->record(0);
       if (is_tls) {
         tcb_.set_state(*tcb, TcbState::kTlsHandshake);
         tcb->flights_remaining = tls_.client_flights();
@@ -239,9 +234,6 @@ void WorkloadServer::on_tcp(const net::Packet& pkt, std::size_t port_idx) {
   // Handshake completion: the first ACK (bare or data-bearing) promotes.
   if (tcb->state == TcbState::kSynRcvd && (flags & flag::kAck) != 0) {
     ++established_;
-    if (handshake_hist_ != nullptr) {
-      handshake_hist_->record((now_us() - tcb->created_us) * 1000ull);
-    }
     if (is_tls) {
       tcb_.set_state(*tcb, TcbState::kTlsHandshake);
       tcb->flights_remaining = tls_.client_flights();
@@ -307,77 +299,6 @@ std::uint64_t WorkloadServer::fingerprint() const {
     }
   }
   return h;
-}
-
-void WorkloadServer::register_metrics() {
-  if constexpr (telemetry::kEnabled) {
-    if (cfg_.metrics == nullptr) return;
-    telemetry::MetricsRegistry& m = *cfg_.metrics;
-    for (const TcbState s : {TcbState::kSynRcvd, TcbState::kTlsHandshake,
-                             TcbState::kEstablished, TcbState::kFinWait}) {
-      m.mirror_gauge(
-          "ht_dut_tcb_connections", [this, s] { return tcb_.count(s); },
-          {.labels = {{"state", tcb_state_name(s)}},
-           .help = "live connections in the TCB store by state"});
-    }
-    m.mirror_gauge(
-        "ht_dut_tcb_high_water", [this] { return tcb_.stats().high_water; },
-        {.help = "max simultaneously occupied TCB slots"});
-    m.mirror_counter(
-        "ht_dut_syns_total", [this] { return syns_; },
-        {.help = "TCP SYNs received on workload listeners"});
-    m.mirror_counter(
-        "ht_dut_handshakes_total", [this] { return established_; },
-        {.help = "TCP handshakes completed"});
-    m.mirror_counter(
-        "ht_dut_tls_handshakes_total", [this] { return tls_done_; },
-        {.help = "TLS flight exchanges completed (cost model)"});
-    m.mirror_counter(
-        "ht_dut_requests_total", [this] { return requests_; },
-        {.help = "HTTP requests parsed and answered"});
-    m.mirror_counter(
-        "ht_dut_responses_total", [this] { return r2xx_; },
-        {.labels = {{"class", "2xx"}}, .help = "HTTP responses by status class"});
-    m.mirror_counter(
-        "ht_dut_responses_total", [this] { return r4xx_; },
-        {.labels = {{"class", "4xx"}}, .help = "HTTP responses by status class"});
-    m.mirror_counter(
-        "ht_dut_responses_total", [this] { return r5xx_; },
-        {.labels = {{"class", "5xx"}}, .help = "HTTP responses by status class"});
-    m.mirror_counter(
-        "ht_dut_tcb_drops_total", [this] { return tcb_.stats().backlog_drops; },
-        {.labels = {{"reason", "backlog"}},
-         .help = "connection attempts dropped by the TCB store",
-         .drop_source = "dut.tcb.backlog"});
-    m.mirror_counter(
-        "ht_dut_tcb_drops_total", [this] { return tcb_.stats().overflow_drops; },
-        {.labels = {{"reason", "overflow"}},
-         .help = "connection attempts dropped by the TCB store",
-         .drop_source = "dut.tcb.overflow"});
-    m.mirror_counter(
-        "ht_dut_syn_cookies_total", [this] { return tcb_.stats().cookies_sent; },
-        {.labels = {{"result", "sent"}}, .help = "SYN-cookie outcomes"});
-    m.mirror_counter(
-        "ht_dut_syn_cookies_total",
-        [this] { return tcb_.stats().cookies_accepted; },
-        {.labels = {{"result", "accepted"}}, .help = "SYN-cookie outcomes"});
-    m.mirror_counter(
-        "ht_dut_syn_cookies_total",
-        [this] { return tcb_.stats().cookies_rejected; },
-        {.labels = {{"result", "rejected"}}, .help = "SYN-cookie outcomes"});
-    m.mirror_counter(
-        "ht_dut_tcb_evictions_total", [this] { return tcb_.stats().evicted_idle; },
-        {.help = "connections evicted by the idle-timeout sweep"});
-    m.mirror_counter(
-        "ht_dut_dns_queries_total", [this] { return dns_queries_; },
-        {.help = "DNS queries answered"});
-    handshake_hist_ = &m.histogram(
-        "ht_dut_handshake_latency_ns",
-        {.help = "SYN to final-ACK latency (1us resolution)"});
-    tls_hist_ = &m.histogram(
-        "ht_dut_tls_handshake_ns",
-        {.help = "TCP-established to TLS-established latency (1us resolution)"});
-  }
 }
 
 }  // namespace ht::dut::stateful

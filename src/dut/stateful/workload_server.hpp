@@ -25,7 +25,6 @@
 #include "net/packet.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/port.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace ht::dut::stateful {
 
@@ -47,9 +46,6 @@ struct WorkloadConfig {
   std::uint32_t dns_nxdomain_every = 0;
   TcbConfig tcb;
   TlsConfig tls;
-  /// Optional registry for gauges/counters/histograms; the raw counters
-  /// below stay authoritative either way.
-  telemetry::MetricsRegistry* metrics = nullptr;
 };
 
 class WorkloadServer {
@@ -95,7 +91,6 @@ class WorkloadServer {
     return static_cast<std::uint32_t>(ev_.now() / 1000);
   }
   int pick_status(const Tcb& tcb, bool bad) const;
-  void register_metrics();
 
   sim::EventQueue& ev_;
   WorkloadConfig cfg_;
@@ -113,9 +108,6 @@ class WorkloadServer {
   std::uint64_t closed_ = 0;
   std::uint64_t dns_queries_ = 0;
   std::uint64_t dns_nxdomain_ = 0;
-
-  telemetry::Histogram* handshake_hist_ = nullptr;
-  telemetry::Histogram* tls_hist_ = nullptr;
 };
 
 }  // namespace ht::dut::stateful

@@ -87,9 +87,9 @@ void Receiver::install() {
   // Per-query telemetry: the query registers stay authoritative; the
   // device registry mirrors them (single aggregation point), and the two
   // integrity counters join the drop/corruption audit trail under their
-  // legacy "htpr.<query>.<reason>" source names. The latency histogram is
-  // instrumentation-only and compiles away with HT_TELEMETRY=OFF.
-  latency_hist_.resize(n, nullptr);
+  // legacy "htpr.<query>.<reason>" source names, next to the latency
+  // histograms.
+  latency_hist_.clear();
   for (std::size_t q = 0; q < n; ++q) {
     const std::string& qn = queries_[q].name;
     auto& m = asic_.metrics();
@@ -119,17 +119,15 @@ void Receiver::install() {
           {.labels = {{"query", qn}, {"class", cls}},
            .help = "matched packets by response class"});
     }
-    if constexpr (telemetry::kEnabled) {
-      latency_hist_[q] = &m.histogram(
-          "ht_htpr_query_latency_ns",
+    latency_hist_.push_back(&m.histogram(
+        "ht_htpr_query_latency_ns",
+        {.labels = {{"query", qn}},
+         .help = "ingress MAC timestamp to query match, per matched packet"}));
+    if (queries_[q].response.sample_latency) {
+      request_hist_[q] = &m.histogram(
+          "ht_htpr_request_latency_ns",
           {.labels = {{"query", qn}},
-           .help = "ingress MAC timestamp to query match, per matched packet"});
-      if (queries_[q].response.sample_latency) {
-        request_hist_[q] = &m.histogram(
-            "ht_htpr_request_latency_ns",
-            {.labels = {{"query", qn}},
-             .help = "request->response latency samples (state-based delay)"});
-      }
+           .help = "request->response latency samples (state-based delay)"});
     }
   }
 

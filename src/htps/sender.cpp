@@ -83,11 +83,10 @@ void Sender::install() {
   }
 
   // Send-rate telemetry: per-template fire counters join the device
-  // registry as mirrors (the fires register stays authoritative);
-  // timer-accuracy histograms are instrumentation-only and compile away
-  // with HT_TELEMETRY=OFF.
-  fire_gap_hist_.resize(n, nullptr);
-  timer_err_hist_.resize(n, nullptr);
+  // registry as mirrors (the fires register stays authoritative), next to
+  // the timer-accuracy histograms.
+  fire_gap_hist_.clear();
+  timer_err_hist_.clear();
   for (std::uint32_t t = 0; t < n; ++t) {
     const std::string tn = std::to_string(t);
     asic_.metrics().mirror_counter(
@@ -98,16 +97,14 @@ void Sender::install() {
         [this, t] { return static_cast<std::int64_t>(loop_copies(t)); },
         {.labels = {{"template", tn}},
          .help = "template copies held in the recirculation loop"});
-    if constexpr (telemetry::kEnabled) {
-      fire_gap_hist_[t] = &asic_.metrics().histogram(
-          "ht_htps_fire_interval_ns",
-          {.labels = {{"template", tn}},
-           .help = "achieved inter-departure time between replication fires"});
-      timer_err_hist_[t] = &asic_.metrics().histogram(
-          "ht_htps_timer_error_ns",
-          {.labels = {{"template", tn}},
-           .help = "absolute error between achieved and configured inter-departure interval"});
-    }
+    fire_gap_hist_.push_back(&asic_.metrics().histogram(
+        "ht_htps_fire_interval_ns",
+        {.labels = {{"template", tn}},
+         .help = "achieved inter-departure time between replication fires"}));
+    timer_err_hist_.push_back(&asic_.metrics().histogram(
+        "ht_htps_timer_error_ns",
+        {.labels = {{"template", tn}},
+         .help = "absolute error between achieved and configured inter-departure interval"}));
   }
 
   // Accelerator fill targets: the loop's capacity is RTT / min-arrival

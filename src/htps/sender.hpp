@@ -181,7 +181,7 @@ class Sender {
 
   /// Per-template send-rate telemetry (device registry cells, created at
   /// install): achieved inter-fire gap and |achieved - configured| timer
-  /// error. Entries stay nullptr when HT_TELEMETRY is off.
+  /// error.
   std::vector<telemetry::Histogram*> fire_gap_hist_;
   std::vector<telemetry::Histogram*> timer_err_hist_;
 };
@@ -245,14 +245,12 @@ void Sender::ingress_core(std::uint32_t tid, Ctx& ctx) {
                }
                return 0;
              }) != 0;
-      if constexpr (telemetry::kEnabled) {
-        // Skip the very first fire (prev_tx == 0 is "never fired", not a
-        // real departure time): no gap exists yet.
-        if (fire && prev_tx != 0 && fire_gap_hist_[tid] != nullptr) {
-          const std::uint64_t gap = ctx.now() - prev_tx;
-          fire_gap_hist_[tid]->record(gap);
-          timer_err_hist_[tid]->record(gap >= interval ? gap - interval : interval - gap);
-        }
+      // Skip the very first fire (prev_tx == 0 is "never fired", not a
+      // real departure time): no gap exists yet.
+      if (fire && prev_tx != 0) {
+        const std::uint64_t gap = ctx.now() - prev_tx;
+        fire_gap_hist_[tid]->record(gap);
+        timer_err_hist_[tid]->record(gap >= interval ? gap - interval : interval - gap);
       }
       if (fire && cfg.interval_dist) {
         intervals_->write(

@@ -48,11 +48,15 @@ struct CompiledQuery {
   std::size_t key_space_size = 0;
 };
 
-/// Stateless-connection wiring: trigger <- records from query.
+/// One trigger FIFO of a stateless connection (§5.3): the query at
+/// `query_index` pushes a record of `lanes` per surviving packet, and the
+/// template at `trigger_index` pops one per loop. Every kFromTrigger edit
+/// of that template indexes into `lanes`.
 struct FifoWiring {
   std::size_t trigger_index = 0;
   std::size_t query_index = 0;
   std::vector<net::FieldId> lanes;
+  std::size_t capacity = 1024;  ///< records; a power of two
 };
 
 struct CompiledTask {

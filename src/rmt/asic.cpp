@@ -30,27 +30,26 @@ void SwitchAsic::register_device_metrics() {
   // Registration order matters: metrics().drop_counters() reports in this
   // order, with the pipeline drops first and the per-port trio after the
   // device-wide counters.
-  ingress_packets_ = &metrics_.counter("ht_asic_ingress_packets_total",
-                                       {.help = "packets entering the ingress pipeline"});
-  egress_packets_ = &metrics_.counter("ht_asic_egress_packets_total",
-                                      {.help = "packets leaving the egress pipeline"});
-  dropped_ = &metrics_.counter(
-      "ht_asic_pipeline_drops_total",
+  metrics_.mirror_counter("ht_asic_ingress_packets_total", [this] { return ingress_packets_; },
+                          {.help = "packets entering the ingress pipeline"});
+  metrics_.mirror_counter("ht_asic_egress_packets_total", [this] { return egress_packets_; },
+                          {.help = "packets leaving the egress pipeline"});
+  metrics_.mirror_counter(
+      "ht_asic_pipeline_drops_total", [this] { return dropped_; },
       {.help = "packets dropped by pipeline verdict or an invalid egress port",
        .drop_source = "asic.pipeline_drops"});
-  injected_drops_ = &metrics_.counter(
-      "ht_asic_injected_drops_total",
+  metrics_.mirror_counter(
+      "ht_asic_injected_drops_total", [this] { return injected_drops_; },
       {.help = "packets dropped by the ASIC-internal fault hook before the parser",
        .drop_source = "asic.injected_drops"});
   metrics_.mirror_counter(
       "ht_asic_digest_drops_total", [this] { return digests_.dropped(); },
       {.help = "digest messages dropped on a full digest queue",
        .drop_source = "asic.digest_drops"});
-  recirculations_ = &metrics_.counter(
-      "ht_asic_recirculations_total",
-      {.help = "packets looped through a recirculation channel"});
-  replicas_ = &metrics_.counter("ht_asic_replicas_total",
-                                {.help = "replicas created by the multicast engine"});
+  metrics_.mirror_counter("ht_asic_recirculations_total", [this] { return recirculations_; },
+                          {.help = "packets looped through a recirculation channel"});
+  metrics_.mirror_counter("ht_asic_replicas_total", [this] { return replicas_; },
+                          {.help = "replicas created by the multicast engine"});
   for (std::size_t c = 0; c < recirc_.size(); ++c) {
     metrics_.mirror_counter(
         "ht_asic_recirc_loops_total", [this, c] { return recirc_[c].loops; },
@@ -81,21 +80,17 @@ void SwitchAsic::register_device_metrics() {
         "ht_port_fcs_drops_total", [p] { return p->rx_fcs_drops(); },
         {.labels = {{"port", n}}, .help = "frames dropped by MAC FCS verification",
          .drop_source = prefix + ".fcs"});
-    if constexpr (telemetry::kEnabled) {
-      auto& h = metrics_.histogram(
-          "ht_port_wire_latency_ns",
-          {.labels = {{"port", n}},
-           .help = "send() to last-bit-arrival per frame: queue wait + serialization + propagation"});
-      p->set_telemetry(&h, &trace_);
-      trace_.set_track_name(telemetry::TraceRecorder::kTrackPortBase + p->id(), "port" + n + " tx");
-    }
+    auto& h = metrics_.histogram(
+        "ht_port_wire_latency_ns",
+        {.labels = {{"port", n}},
+         .help = "send() to last-bit-arrival per frame: queue wait + serialization + propagation"});
+    p->set_telemetry(&h, &trace_);
+    trace_.set_track_name(telemetry::TraceRecorder::kTrackPortBase + p->id(), "port" + n + " tx");
   }
-  if constexpr (telemetry::kEnabled) {
-    trace_.set_track_name(telemetry::TraceRecorder::kTrackTask, "task");
-    trace_.set_track_name(telemetry::TraceRecorder::kTrackIngress, "ingress pipeline");
-    trace_.set_track_name(telemetry::TraceRecorder::kTrackEgress, "egress pipeline");
-    trace_.set_track_name(telemetry::TraceRecorder::kTrackRecirc, "recirculation");
-  }
+  trace_.set_track_name(telemetry::TraceRecorder::kTrackTask, "task");
+  trace_.set_track_name(telemetry::TraceRecorder::kTrackIngress, "ingress pipeline");
+  trace_.set_track_name(telemetry::TraceRecorder::kTrackEgress, "egress pipeline");
+  trace_.set_track_name(telemetry::TraceRecorder::kTrackRecirc, "recirculation");
 }
 
 sim::Port& SwitchAsic::port(std::uint16_t i) {
@@ -139,16 +134,14 @@ ActionContext SwitchAsic::make_ctx(Phv& phv) {
 
 void SwitchAsic::enter_ingress(net::PacketPtr pkt) {
   if (ingress_fault_ && ingress_fault_(*pkt)) {
-    injected_drops_->inc();
+    ++injected_drops_;
     return;
   }
-  ingress_packets_->inc();
-  if constexpr (telemetry::kEnabled) {
-    if (trace_.enabled()) {
-      trace_.complete("ingress", ev_.now(),
-                      static_cast<std::uint64_t>(std::llround(cfg_.timing.ingress_latency_ns)),
-                      telemetry::TraceRecorder::kTrackIngress);
-    }
+  ++ingress_packets_;
+  if (trace_.enabled()) {
+    trace_.complete("ingress", ev_.now(),
+                    static_cast<std::uint64_t>(std::llround(cfg_.timing.ingress_latency_ns)),
+                    telemetry::TraceRecorder::kTrackIngress);
   }
   if (fastpath_ != nullptr) {
     IntrinsicMeta im;
@@ -176,7 +169,7 @@ void SwitchAsic::to_traffic_manager(net::PacketPtr pkt, IntrinsicMeta im) {
   const double ingress = cfg_.timing.ingress_latency_ns;
   switch (im.dest) {
     case Destination::kDrop:
-      dropped_->inc();
+      ++dropped_;
       return;
     case Destination::kUnicast: {
       const auto delay =
@@ -210,7 +203,7 @@ void SwitchAsic::to_traffic_manager(net::PacketPtr pkt, IntrinsicMeta im) {
         copy->meta().replica_index = m.rid;
         const double d =
             ingress + TimingModel::jittered(rng_, mean, cfg_.timing.mcast_jitter_sigma_ns);
-        replicas_->inc();
+        ++replicas_;
         reps.push_back(PendingReplica{static_cast<sim::TimeNs>(std::llround(d)),
                                       EgressReplica{std::move(copy), m.port, m.rid}});
       }
@@ -269,14 +262,12 @@ void SwitchAsic::run_egress(std::span<EgressReplica> reps) {
       // untouched).
       if (r.port < ports_.size()) net::fix_checksums(*r.pkt);
     }
-    egress_packets_->inc();
+    ++egress_packets_;
   }
   const auto delay = static_cast<sim::TimeNs>(std::llround(cfg_.timing.egress_latency_ns));
-  if constexpr (telemetry::kEnabled) {
-    if (trace_.enabled()) {
-      trace_.complete("egress", now, static_cast<std::uint64_t>(delay),
-                      telemetry::TraceRecorder::kTrackEgress);
-    }
+  if (trace_.enabled()) {
+    trace_.complete("egress", now, static_cast<std::uint64_t>(delay),
+                    telemetry::TraceRecorder::kTrackEgress);
   }
   // Emission waits until every replica's pass: a loop replica's
   // recirculation jitter and an egress random edit both draw from rng_, so
@@ -309,16 +300,13 @@ void SwitchAsic::emit(net::PacketPtr pkt, std::uint16_t eport, sim::TimeNs now_n
     const double ser = cfg_.timing.recirc_serialization_ns(pkt->size());
     ch.busy_until = start + ser;
     ++ch.loops;
-    recirculations_->inc();
+    ++recirculations_;
     const double arrive = start + ser +
                           TimingModel::jittered(rng_, cfg_.timing.recirc_fixed_ns,
                                                 cfg_.timing.recirc_jitter_sigma_ns);
-    if constexpr (telemetry::kEnabled) {
-      if (trace_.enabled() && arrive >= now) {
-        trace_.complete("recirc", now_ns,
-                        static_cast<std::uint64_t>(std::llround(arrive - now)),
-                        telemetry::TraceRecorder::kTrackRecirc);
-      }
+    if (trace_.enabled() && arrive >= now) {
+      trace_.complete("recirc", now_ns, static_cast<std::uint64_t>(std::llround(arrive - now)),
+                      telemetry::TraceRecorder::kTrackRecirc);
     }
     ev_.schedule_at(static_cast<sim::TimeNs>(std::llround(arrive)),
                     [this, pkt = std::move(pkt), eport]() mutable {
@@ -330,7 +318,7 @@ void SwitchAsic::emit(net::PacketPtr pkt, std::uint16_t eport, sim::TimeNs now_n
     return;
   }
   if (eport >= ports_.size()) {
-    dropped_->inc();
+    ++dropped_;
     return;
   }
   pkt->meta().egress_port = eport;

@@ -127,14 +127,12 @@ class SwitchAsic {
   const telemetry::TraceRecorder& trace() const { return trace_; }
 
   // --- counters --------------------------------------------------------------
-  // Thin compat accessors over the registry-backed cells: the registry is
-  // the storage, these keep the historical API (and tests) intact.
-  std::uint64_t ingress_packets() const { return ingress_packets_->value(); }
-  std::uint64_t egress_packets() const { return egress_packets_->value(); }
-  std::uint64_t dropped_packets() const { return dropped_->value(); }
-  std::uint64_t recirculations() const { return recirculations_->value(); }
-  std::uint64_t replicas_created() const { return replicas_->value(); }
-  std::uint64_t injected_drops() const { return injected_drops_->value(); }
+  std::uint64_t ingress_packets() const { return ingress_packets_; }
+  std::uint64_t egress_packets() const { return egress_packets_; }
+  std::uint64_t dropped_packets() const { return dropped_; }
+  std::uint64_t recirculations() const { return recirculations_; }
+  std::uint64_t replicas_created() const { return replicas_; }
+  std::uint64_t injected_drops() const { return injected_drops_; }
 
  private:
   /// One packet headed for egress: a unicast packet or a multicast replica.
@@ -175,7 +173,7 @@ class SwitchAsic {
   sim::EventQueue& ev_;
   AsicConfig cfg_;
   // Declared before ports/pipelines so the registry outlives every
-  // component that holds cell pointers into it.
+  // component that holds histogram pointers into it.
   telemetry::MetricsRegistry metrics_;
   telemetry::TraceRecorder trace_;
   sim::Rng rng_;
@@ -196,14 +194,13 @@ class SwitchAsic {
   std::function<void(net::PacketPtr)> cpu_punt_;
   std::function<bool(const net::Packet&)> ingress_fault_;
 
-  // Registry-backed device counters (set up in register_device_metrics;
-  // never null after construction).
-  telemetry::Counter* ingress_packets_ = nullptr;
-  telemetry::Counter* egress_packets_ = nullptr;
-  telemetry::Counter* dropped_ = nullptr;
-  telemetry::Counter* recirculations_ = nullptr;
-  telemetry::Counter* replicas_ = nullptr;
-  telemetry::Counter* injected_drops_ = nullptr;
+  // Device counters, mirrored into metrics_ by register_device_metrics.
+  std::uint64_t ingress_packets_ = 0;
+  std::uint64_t egress_packets_ = 0;
+  std::uint64_t dropped_ = 0;
+  std::uint64_t recirculations_ = 0;
+  std::uint64_t replicas_ = 0;
+  std::uint64_t injected_drops_ = 0;
 };
 
 }  // namespace ht::rmt

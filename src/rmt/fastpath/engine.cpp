@@ -19,25 +19,22 @@ void Engine::bind(SwitchAsic& asic, htps::Sender& sender, htpr::Receiver& receiv
     bind_template(t, verdict);
   }
 
-  // Fast-path observability (satellite of the fused-apply work): task- and
-  // packet-level counters on the device registry, so `ntapi_cli stats`
-  // shows whether a run actually took the fused path.
+  // Fast-path observability: task- and packet-level counters on the
+  // device registry, so `ntapi_cli stats` shows whether a run actually
+  // took the fused path. A receive-only task (no templates) has no
+  // per-packet walk to fuse; it counts as fused vacuously, mirroring
+  // FusedPlan::all_fusable().
   auto& m = asic.metrics();
-  fused_pkts_ = &m.counter("ht_fastpath_fused_pkts_total",
-                           {.help = "pipeline passes executed by the fused fast path"});
-  auto& fused_tasks = m.counter(
+  m.mirror_counter("ht_fastpath_fused_pkts_total", [this] { return fused_pkts_; },
+                   {.help = "pipeline passes executed by the fused fast path"});
+  m.mirror_counter(
       "ht_fastpath_fused_tasks_total",
+      [this] { return std::uint64_t{fallback_templates_ == 0 ? 1u : 0u}; },
       {.help = "loaded tasks whose every template runs the fused fast path"});
-  auto& fallback_tasks = m.counter(
+  m.mirror_counter(
       "ht_fastpath_fallback_tasks_total",
+      [this] { return std::uint64_t{fallback_templates_ == 0 ? 0u : 1u}; },
       {.help = "loaded tasks with at least one template on the interpreted fallback path"});
-  // A receive-only task (no templates) has no per-packet walk to fuse;
-  // it counts as fused vacuously, mirroring FusedPlan::all_fusable().
-  if (fallback_templates_ == 0) {
-    fused_tasks.inc();
-  } else {
-    fallback_tasks.inc();
-  }
 }
 
 void Engine::bind_template(std::uint32_t tid, const TemplateFusion& verdict) {
@@ -220,7 +217,7 @@ bool Engine::try_ingress(const net::PacketPtr& pkt, IntrinsicMeta& out) {
     ActionContext actx = asic_->make_ctx(maintenance_phv_);
     ts.maintenance_tbl->apply(actx);
   }
-  fused_pkts_->inc();
+  ++fused_pkts_;
   return true;
 }
 
@@ -237,7 +234,7 @@ bool Engine::try_egress(const net::PacketPtr& pkt, std::uint16_t egress_port,
     // Recirculation/CPU egress: every egress-side gate requires a
     // front-panel port, so the interpreted pass fires no table, writes no
     // byte, and skips the checksum engine — a statically-proven no-op.
-    fused_pkts_->inc();
+    ++fused_pkts_;
     return true;
   }
 
@@ -258,7 +255,7 @@ bool Engine::try_egress(const net::PacketPtr& pkt, std::uint16_t egress_port,
     auto bytes = pkt->bytes();
     for (const CsumPatch& p : ts.patches) bytes[p.offset] = p.value;
   }
-  fused_pkts_->inc();
+  ++fused_pkts_;
   return true;
 }
 

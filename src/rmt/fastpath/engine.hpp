@@ -224,7 +224,7 @@ class Engine final : public FastPathHooks {
   /// Scratch PHV for the maintenance pass (the pass never reads it).
   Phv maintenance_phv_;
   std::size_t fallback_templates_ = 0;
-  telemetry::Counter* fused_pkts_ = nullptr;
+  std::uint64_t fused_pkts_ = 0;
 };
 
 }  // namespace ht::rmt::fastpath

@@ -34,14 +34,12 @@ void Port::send_at(TimeNs now_ns, net::PacketPtr pkt) {
 
   // The last bit leaves at busy_until_; arrival is propagation later.
   const TimeNs arrive = static_cast<TimeNs>(std::llround(busy_until_)) + propagation_ns_;
-  if constexpr (telemetry::kEnabled) {
-    if (wire_latency_ != nullptr && arrive >= static_cast<TimeNs>(now)) {
-      wire_latency_->record(arrive - static_cast<TimeNs>(now));
-    }
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->complete("tx", start_ns, static_cast<std::uint64_t>(std::llround(tx_time)),
-                       telemetry::TraceRecorder::kTrackPortBase + id_);
-    }
+  if (wire_latency_ != nullptr && arrive >= static_cast<TimeNs>(now)) {
+    wire_latency_->record(arrive - static_cast<TimeNs>(now));
+  }
+  if (trace_ != nullptr && trace_->enabled()) {
+    trace_->complete("tx", start_ns, static_cast<std::uint64_t>(std::llround(tx_time)),
+                     telemetry::TraceRecorder::kTrackPortBase + id_);
   }
   const std::uint64_t line_bytes = pkt->line_size();
   if (remote_out_ != nullptr) {

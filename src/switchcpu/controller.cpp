@@ -35,12 +35,6 @@ void Controller::read_counters(const std::string& reg, bool batched,
       });
 }
 
-const std::vector<rmt::DigestMessage>& Controller::digests(std::uint32_t type) const {
-  static const std::vector<rmt::DigestMessage> kEmpty;
-  const auto it = digests_.find(type);
-  return it == digests_.end() ? kEmpty : it->second;
-}
-
 void Controller::subscribe(std::uint32_t type,
                            std::function<void(const rmt::DigestMessage&)> fn) {
   subscribers_[type].push_back(std::move(fn));
@@ -57,7 +51,6 @@ void Controller::register_metrics(telemetry::MetricsRegistry& reg) {
 
 void Controller::on_digest(const rmt::DigestMessage& msg) {
   ++digest_count_;
-  digests_[msg.type].push_back(msg);
   if (msg.type == eviction_type_ && msg.values.size() >= 2) {
     evicted_[msg.values[0]] += msg.values[1];
   }

@@ -51,10 +51,10 @@ class Controller {
                      std::function<void(std::vector<std::uint64_t>)> done);
 
   // --- push mode -----------------------------------------------------------
-  /// Digest messages, stored per type. Type ids are assigned by the
-  /// compiler; evicted counter-store records are additionally folded into
-  /// `evicted_counters()` keyed by the digest's first value.
-  const std::vector<rmt::DigestMessage>& digests(std::uint32_t type) const;
+  /// Digest messages are counted and handed to the subscribers of their
+  /// type, not stored. Type ids are assigned by the compiler; evicted
+  /// counter-store records are folded into `evicted_counters()` keyed by
+  /// the digest's first value.
   std::uint64_t digest_count() const { return digest_count_; }
 
   /// CPU-DRAM aggregation of evicted (fingerprint, count) pairs.
@@ -88,7 +88,6 @@ class Controller {
   double rpc_loss_rate_ = 0.0;
   sim::Rng rpc_rng_{0};
   std::uint64_t rpc_lost_ = 0;
-  std::unordered_map<std::uint32_t, std::vector<rmt::DigestMessage>> digests_;
   std::unordered_map<std::uint32_t, std::vector<std::function<void(const rmt::DigestMessage&)>>>
       subscribers_;
   std::map<std::uint64_t, std::uint64_t> evicted_;

@@ -58,8 +58,8 @@ std::string render_name(const std::string& name, const std::vector<Label>& label
 
 MetricsRegistry::Entry& MetricsRegistry::add_entry(std::string name, MetricOpts opts,
                                                    Kind kind) {
-  // In-place construction: Entry is neither copyable nor movable (the
-  // optional cells hold atomics), and the deque keeps references stable.
+  // The deque keeps references stable, so a component may hold a
+  // histogram reference for the life of the registry.
   Entry& e = entries_.emplace_back();
   e.full_name = render_name(name, opts.labels);
   e.name = std::move(name);
@@ -67,18 +67,6 @@ MetricsRegistry::Entry& MetricsRegistry::add_entry(std::string name, MetricOpts 
   e.drop_source = std::move(opts.drop_source);
   e.kind = kind;
   return e;
-}
-
-Counter& MetricsRegistry::counter(std::string name, MetricOpts opts) {
-  Entry& e = add_entry(std::move(name), std::move(opts), Kind::kCounter);
-  e.counter.emplace();
-  return *e.counter;
-}
-
-Gauge& MetricsRegistry::gauge(std::string name, MetricOpts opts) {
-  Entry& e = add_entry(std::move(name), std::move(opts), Kind::kGauge);
-  e.gauge.emplace();
-  return *e.gauge;
 }
 
 Histogram& MetricsRegistry::histogram(std::string name, MetricOpts opts) {

@@ -1,5 +1,5 @@
-// Telemetry metrics: counters, gauges, log-linear histograms, and the
-// registry that names and exports them.
+// Telemetry metrics: log-linear histograms, counter and gauge mirrors,
+// and the registry that names and exports them.
 //
 // The paper's whole evaluation (Figs. 9-14) is about *measuring* the
 // tester; this layer is the uniform way the reproduction records those
@@ -9,28 +9,26 @@
 //    dumps. Histograms therefore use a FIXED log-linear bucket layout
 //    (no adaptive resizing, no sampling) and quantiles are derived from
 //    bucket counts only.
-//  * Cheap hot path. A counter increment is one relaxed atomic add; a
-//    histogram record is a handful of arithmetic ops and two array
-//    increments, no allocation ever after construction. The compile-time
-//    HT_TELEMETRY switch (see telemetry.hpp) removes instrumentation-only
-//    call sites entirely.
-//  * Single source of truth. Counters that used to live as bespoke
-//    members (ASIC drop counters, port MAC counters, HTPR integrity
-//    counters) either live in the registry directly or are *mirrored*
-//    into it with a sampling callback, so every report — Prometheus
-//    text, JSON dump, the drop audit trail (drop_counters()) — is
-//    derived from one place and cannot diverge.
+//  * Cheap hot path. A counter is a plain integer the component bumps;
+//    a histogram record is a handful of arithmetic ops and two array
+//    increments, no allocation ever after construction.
+//  * Single source of truth. Every counter and gauge is owned by the
+//    component that updates it (ASIC drop counters, port MAC counters,
+//    HTPR integrity registers) and *mirrored* into the registry with a
+//    sampling callback, so every report — Prometheus text, JSON dump,
+//    the drop audit trail (drop_counters()) — is derived from one place
+//    and cannot diverge. Histograms are the only registry-owned cells.
 //
 // Naming scheme: `ht_<component>_<name>` with Prometheus-style labels,
 // e.g. `ht_port_wire_latency_ns{port="1"}` (DESIGN.md §10).
 //
-// Threading: counters and gauges are atomic (relaxed) so concurrent
-// increments are TSan-clean; histograms and the registry itself follow
-// the simulator's single-threaded discipline.
+// Threading: nothing here is atomic. A component (and the histograms it
+// records into) is written only by its own shard's thread; reports are
+// read between ShardGroup::run_until calls, after the epoch barrier's
+// acquire/release has published every shard's writes.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <deque>
@@ -41,30 +39,6 @@
 #include <vector>
 
 namespace ht::telemetry {
-
-/// Monotonically increasing event count. Increments are relaxed atomic:
-/// cheap, and safe to hit from helper threads (collection is not
-/// synchronized with increments — readers see a value that was current
-/// at some point, exactly like hardware counter reads).
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Point-in-time signed level (queue depth, copies in flight).
-class Gauge {
- public:
-  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
 
 /// Log-linear histogram over non-negative integer samples (typically
 /// nanoseconds). Fixed bucket layout, HdrHistogram-style:
@@ -141,16 +115,15 @@ struct MetricOpts {
   std::string drop_source;
 };
 
-/// Named collection of metrics. Components create (or mirror) their
-/// metrics here once at construction/install time and keep the returned
-/// reference for hot-path updates; exporters walk the registry.
+/// Named collection of metrics. Components register their metrics here
+/// once at construction/install time; exporters walk the registry.
 ///
-/// Mirrors: a mirror entry samples an existing component counter through
-/// a callback at read time instead of owning a cell. This is how legacy
-/// hot-path counters (port MAC counters, fault-injector stats) join the
-/// registry without any hot-path change — the component stays
-/// authoritative, the registry is the single aggregation point.
-/// The callback must outlive every sampling call.
+/// Counters and gauges are mirrors: the entry samples a component-owned
+/// integer through a callback at read time, so the hot path is a plain
+/// increment and the component stays authoritative while the registry is
+/// the single aggregation point. The callback must outlive every sampling
+/// call. Histograms are cells the registry owns; a component keeps the
+/// returned reference for hot-path records.
 ///
 /// Entries are stored in a deque so references stay stable for the life
 /// of the registry. Registration order is deterministic and preserved in
@@ -161,11 +134,9 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter& counter(std::string name, MetricOpts opts = {});
-  Gauge& gauge(std::string name, MetricOpts opts = {});
   Histogram& histogram(std::string name, MetricOpts opts = {});
 
-  /// Mirror an existing component counter/gauge into the registry.
+  /// Mirror a component-owned counter/gauge into the registry.
   void mirror_counter(std::string name, std::function<std::uint64_t()> sample,
                       MetricOpts opts = {});
   void mirror_gauge(std::string name, std::function<std::int64_t()> sample,
@@ -179,19 +150,12 @@ class MetricsRegistry {
     std::string help;
     std::string drop_source;   ///< non-empty: part of the drop report
     Kind kind = Kind::kCounter;
-    std::optional<Counter> counter;
-    std::optional<Gauge> gauge;
     std::optional<Histogram> histogram;
-    std::function<std::uint64_t()> sample_counter;  ///< mirror form
-    std::function<std::int64_t()> sample_gauge;     ///< mirror form
+    std::function<std::uint64_t()> sample_counter;  ///< counter entries
+    std::function<std::int64_t()> sample_gauge;     ///< gauge entries
 
-    /// Current value of a counter entry (cell or mirror).
-    std::uint64_t counter_value() const {
-      return counter ? counter->value() : (sample_counter ? sample_counter() : 0);
-    }
-    std::int64_t gauge_value() const {
-      return gauge ? gauge->value() : (sample_gauge ? sample_gauge() : 0);
-    }
+    std::uint64_t counter_value() const { return sample_counter(); }
+    std::int64_t gauge_value() const { return sample_gauge(); }
   };
 
   std::size_t size() const { return entries_.size(); }

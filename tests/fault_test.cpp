@@ -518,6 +518,59 @@ TEST(HyperTesterRetry, DropReportCoversEveryLayer) {
   EXPECT_EQ(bed.tester.chaos_links().size(), 4u);  // tx+rx per connected port
 }
 
+/// The sources of a tester's drop audit trail, in report order.
+std::vector<std::string> drop_sources(const HyperTester& tester) {
+  std::vector<std::string> out;
+  for (const auto& entry : tester.metrics().drop_counters()) out.push_back(entry.first);
+  return out;
+}
+
+TEST(HyperTesterRetry, DropReportOrderIsRegistrationOrder) {
+  // drop_counters() is the one report that keeps registration order (the
+  // exporters sort by name), and fig9 --loss and loss_measurement print it
+  // as is: device counters, per-port MAC trio, control plane, trigger
+  // FIFOs, per-query integrity, then the chaos links in attach order.
+  const std::vector<std::string> device = {
+      "asic.pipeline_drops", "asic.injected_drops", "asic.digest_drops",
+      "port0.queue_full",    "port0.no_peer",       "port0.fcs",
+      "port1.queue_full",    "port1.no_peer",       "port1.fcs",
+      "controller.rpc_lost"};
+
+  auto loss = apps::loss_test(0x02020202, 0x01010101, {0}, {1}, 1000, 200);
+  ntapi::ChaosSpec chaos;
+  chaos.config.seed = 23;
+  chaos.config.loss.rate = 0.1;
+  loss.task.set_chaos(chaos);
+  ChaosTestbed bed(loss.task);
+  bed.tester.start();
+  bed.tester.run_for(sim::us(50));
+  std::vector<std::string> want = device;
+  for (const char* q : {"q0", "q1"}) {
+    want.push_back(std::string("htpr.") + q + ".checksum_fails");
+    want.push_back(std::string("htpr.") + q + ".out_of_window");
+  }
+  for (const char* link : {"port0.tx", "port0.rx", "port1.tx", "port1.rx"}) {
+    for (const char* kind : {"lost", "flap_drops", "corrupted", "duplicated", "reordered"}) {
+      want.push_back(std::string(link) + ".fault_" + kind);
+    }
+  }
+  EXPECT_EQ(drop_sources(bed.tester), want);
+
+  TesterConfig cfg;
+  cfg.asic.num_ports = 2;
+  HyperTester web(cfg);
+  web.load(apps::web_test(0x05050505, 80, 0x01010001, 64, {1}).task);
+  web.start();
+  web.run_for(sim::us(50));
+  want = device;
+  for (int t = 1; t <= 5; ++t) want.push_back("trigfifo." + std::to_string(t) + ".overflows");
+  for (int q = 0; q <= 4; ++q) {
+    want.push_back("htpr.q" + std::to_string(q) + ".checksum_fails");
+    want.push_back("htpr.q" + std::to_string(q) + ".out_of_window");
+  }
+  EXPECT_EQ(drop_sources(web), want);
+}
+
 TEST(FaultInjector, DropCountersExposeEveryPathology) {
   auto app = apps::loss_test(0x02020202, 0x01010101, {0}, {1}, 500, 200);
   ntapi::ChaosSpec chaos;

@@ -313,26 +313,24 @@ TEST(WorkloadServer, RpsClassifiesAndSamplesLatency) {
   EXPECT_GT(server.responses_4xx(), 0u);
   EXPECT_GT(server.responses_5xx(), 0u);
 
-  if (telemetry::kEnabled) {
-    const auto& m = tester.metrics();
-    const auto c2 =
-        m.counter_value("ht_htpr_response_class_total{query=\"q1\",class=\"2xx\"}");
-    const auto c5 =
-        m.counter_value("ht_htpr_response_class_total{query=\"q1\",class=\"5xx\"}");
-    ASSERT_TRUE(c2.has_value());
-    // Responses still on the wire when the window closes are sent but not
-    // yet classified, so the tester may trail the server by a few.
-    EXPECT_LE(*c2, server.responses_2xx());
-    EXPECT_GE(*c2 + 8, server.responses_2xx());
-    EXPECT_LE(c5.value_or(0), server.responses_5xx());
-    EXPECT_GE(c5.value_or(0) + 8, server.responses_5xx());
-    const auto* h = m.find_histogram("ht_htpr_request_latency_ns{query=\"q1\"}");
-    ASSERT_NE(h, nullptr);
-    EXPECT_GT(h->count(), 0u);
-    // Latency includes the server's 2us service delay plus wire time.
-    EXPECT_GE(h->quantile(0.5), 2'000u);
-    EXPECT_LE(h->quantile(0.5), h->quantile(0.99));
-  }
+  const auto& m = tester.metrics();
+  const auto c2 =
+      m.counter_value("ht_htpr_response_class_total{query=\"q1\",class=\"2xx\"}");
+  const auto c5 =
+      m.counter_value("ht_htpr_response_class_total{query=\"q1\",class=\"5xx\"}");
+  ASSERT_TRUE(c2.has_value());
+  // Responses still on the wire when the window closes are sent but not
+  // yet classified, so the tester may trail the server by a few.
+  EXPECT_LE(*c2, server.responses_2xx());
+  EXPECT_GE(*c2 + 8, server.responses_2xx());
+  EXPECT_LE(c5.value_or(0), server.responses_5xx());
+  EXPECT_GE(c5.value_or(0) + 8, server.responses_5xx());
+  const auto* h = m.find_histogram("ht_htpr_request_latency_ns{query=\"q1\"}");
+  ASSERT_NE(h, nullptr);
+  EXPECT_GT(h->count(), 0u);
+  // Latency includes the server's 2us service delay plus wire time.
+  EXPECT_GE(h->quantile(0.5), 2'000u);
+  EXPECT_LE(h->quantile(0.5), h->quantile(0.99));
 }
 
 TEST(WorkloadServer, DnsRcodeSplit) {
@@ -353,17 +351,15 @@ TEST(WorkloadServer, DnsRcodeSplit) {
 
   ASSERT_GT(server.dns_queries(), 100u);
   ASSERT_GT(tester.query_matched(app.q_resp), 100u);
-  if (telemetry::kEnabled) {
-    const auto& m = tester.metrics();
-    const auto ok =
-        m.counter_value("ht_htpr_response_class_total{query=\"q0\",class=\"noerror\"}");
-    const auto nx =
-        m.counter_value("ht_htpr_response_class_total{query=\"q0\",class=\"nxdomain\"}");
-    EXPECT_GT(ok.value_or(0), 0u);
-    EXPECT_GT(nx.value_or(0), 0u);
-    EXPECT_LE(nx.value_or(0), server.dns_nxdomain());
-    EXPECT_GE(nx.value_or(0) + 8, server.dns_nxdomain());
-  }
+  const auto& m = tester.metrics();
+  const auto ok =
+      m.counter_value("ht_htpr_response_class_total{query=\"q0\",class=\"noerror\"}");
+  const auto nx =
+      m.counter_value("ht_htpr_response_class_total{query=\"q0\",class=\"nxdomain\"}");
+  EXPECT_GT(ok.value_or(0), 0u);
+  EXPECT_GT(nx.value_or(0), 0u);
+  EXPECT_LE(nx.value_or(0), server.dns_nxdomain());
+  EXPECT_GE(nx.value_or(0) + 8, server.dns_nxdomain());
 }
 
 // --- shard-count determinism ---------------------------------------------

@@ -7,25 +7,22 @@
 #include "htps/sender.hpp"
 #include "net/headers.hpp"
 #include "net/packet_builder.hpp"
-#include "stateless/trigger_fifo.hpp"
+#include "regfifo/register_fifo.hpp"
 #include "testutil.hpp"
 
-namespace ht::stateless {
+namespace ht {
 namespace {
 
 using net::FieldId;
 namespace flag = net::tcpflag;
 
-TEST(TriggerFifo, SchemaAndEdits) {
-  rmt::RegisterFile rf;
-  TriggerFifo tf(rf, "tf", {FieldId::kIpv4Sip, FieldId::kTcpSeqNo}, 16);
-  EXPECT_EQ(tf.lane_of(FieldId::kTcpSeqNo), 1u);
-  EXPECT_THROW(tf.lane_of(FieldId::kIpv4Dip), std::out_of_range);
-  const auto edit = tf.edit_from(FieldId::kTcpAckNo, FieldId::kTcpSeqNo, 1);
-  EXPECT_EQ(edit.kind, htps::EditOp::Kind::kFromTrigger);
-  EXPECT_EQ(edit.trigger_lane, 1u);
-  EXPECT_EQ(edit.trigger_offset, 1);
-  EXPECT_THROW(TriggerFifo(rf, "tf2", {}, 16), std::invalid_argument);
+/// An editor op that sets `dst` from lane `lane` of the trigger record
+/// plus `offset` (e.g. ack_no = seq_no + 1).
+htps::EditOp from_trigger(FieldId dst, std::size_t lane, std::int64_t offset = 0) {
+  return htps::EditOp{.field = dst,
+                      .kind = htps::EditOp::Kind::kFromTrigger,
+                      .trigger_lane = lane,
+                      .trigger_offset = offset};
 }
 
 TEST(StatelessConnection, SynAckTriggersAck) {
@@ -34,9 +31,10 @@ TEST(StatelessConnection, SynAckTriggersAck) {
   // ack_no = seq_no + 1.
   test::AsicTestbed tb(rmt::AsicConfig{.num_ports = 2});
 
-  TriggerFifo tf(tb.asic.registers(), "synack_fifo",
-                 {FieldId::kIpv4Sip, FieldId::kIpv4Dip, FieldId::kTcpSport, FieldId::kTcpDport,
-                  FieldId::kTcpSeqNo, FieldId::kTcpAckNo});
+  const std::vector<FieldId> lanes = {FieldId::kIpv4Sip,  FieldId::kIpv4Dip,
+                                      FieldId::kTcpSport, FieldId::kTcpDport,
+                                      FieldId::kTcpSeqNo, FieldId::kTcpAckNo};
+  regfifo::RegisterFifo fifo(tb.asic.registers(), "synack_fifo", 1024, lanes.size());
 
   htps::Sender sender(tb.asic);
   htps::TemplateConfig ack_tpl;
@@ -45,15 +43,15 @@ TEST(StatelessConnection, SynAckTriggersAck) {
   ack_tpl.spec.header_init = {{FieldId::kTcpFlags, flag::kAck}};
   ack_tpl.egress_ports = {1};
   ack_tpl.mode = htps::TemplateConfig::Mode::kFifoTriggered;
-  ack_tpl.trigger_fifo = &tf.fifo();
+  ack_tpl.trigger_fifo = &fifo;
   // Response fields from the trigger record (directions swapped).
   ack_tpl.edits = {
-      tf.edit_from(FieldId::kIpv4Dip, FieldId::kIpv4Sip),
-      tf.edit_from(FieldId::kIpv4Sip, FieldId::kIpv4Dip),
-      tf.edit_from(FieldId::kTcpDport, FieldId::kTcpSport),
-      tf.edit_from(FieldId::kTcpSport, FieldId::kTcpDport),
-      tf.edit_from(FieldId::kTcpSeqNo, FieldId::kTcpAckNo),
-      tf.edit_from(FieldId::kTcpAckNo, FieldId::kTcpSeqNo, 1),
+      from_trigger(FieldId::kIpv4Dip, 0),      // <- sip
+      from_trigger(FieldId::kIpv4Sip, 1),      // <- dip
+      from_trigger(FieldId::kTcpDport, 2),     // <- sport
+      from_trigger(FieldId::kTcpSport, 3),     // <- dport
+      from_trigger(FieldId::kTcpSeqNo, 5),     // <- ack_no
+      from_trigger(FieldId::kTcpAckNo, 4, 1),  // <- seq_no + 1
   };
   sender.add_template(std::move(ack_tpl));
   sender.install();
@@ -62,7 +60,7 @@ TEST(StatelessConnection, SynAckTriggersAck) {
   htpr::QueryConfig q;
   q.name = "synack";
   q.ops = {htpr::FilterOp{FieldId::kTcpFlags, htpr::Cmp::kEq, flag::kSynAck}};
-  q.triggers.push_back(tf.extract_spec());
+  q.triggers.push_back({.fifo = &fifo, .lanes = lanes});
   rx.add_query(std::move(q));
   rx.install();
 
@@ -90,15 +88,15 @@ TEST(StatelessConnection, SynAckTriggersAck) {
 
 TEST(StatelessConnection, OneResponsePerReceivedPacket) {
   test::AsicTestbed tb(rmt::AsicConfig{.num_ports = 2});
-  TriggerFifo tf(tb.asic.registers(), "fifo", {FieldId::kIpv4Sip});
+  regfifo::RegisterFifo fifo(tb.asic.registers(), "fifo", 1024, 1);
   htps::Sender sender(tb.asic);
   htps::TemplateConfig tpl;
   tpl.spec.l4 = net::HeaderKind::kTcp;
   tpl.spec.header_init = {{FieldId::kTcpFlags, flag::kAck}};
   tpl.egress_ports = {1};
   tpl.mode = htps::TemplateConfig::Mode::kFifoTriggered;
-  tpl.trigger_fifo = &tf.fifo();
-  tpl.edits = {tf.edit_from(FieldId::kIpv4Dip, FieldId::kIpv4Sip)};
+  tpl.trigger_fifo = &fifo;
+  tpl.edits = {from_trigger(FieldId::kIpv4Dip, 0)};
   sender.add_template(std::move(tpl));
   sender.install();
 
@@ -106,7 +104,7 @@ TEST(StatelessConnection, OneResponsePerReceivedPacket) {
   htpr::QueryConfig q;
   q.name = "all_synack";
   q.ops = {htpr::FilterOp{FieldId::kTcpFlags, htpr::Cmp::kEq, flag::kSynAck}};
-  q.triggers.push_back(tf.extract_spec());
+  q.triggers.push_back({.fifo = &fifo, .lanes = {FieldId::kIpv4Sip}});
   rx.add_query(std::move(q));
   rx.install();
   sender.start();
@@ -133,4 +131,4 @@ TEST(StatelessConnection, OneResponsePerReceivedPacket) {
 }
 
 }  // namespace
-}  // namespace ht::stateless
+}  // namespace ht
