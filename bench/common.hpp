@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -92,33 +93,19 @@ inline double take_rate(int& argc, char** argv, const char* flag, double fallbac
   });
 }
 
-/// Machine-readable sidecar for a bench binary: one entry per reported
-/// series, written as a flat JSON document (see scripts/bench.sh). Values
-/// are numbers; `wall_s` is the wall-clock cost of producing the value so
-/// regressions in the substrate itself are visible across runs.
+/// Machine-readable sidecar for a bench binary: a flat JSON list of
+/// `{series, value, unit}` entries (see scripts/bench.sh). Each value is
+/// printed as the shortest text that reads back as the same double, so
+/// counts stay exact integers. Per-run wall-clock cost is recorded by
+/// perfbench and perf_micro, and the registry dump by `ntapi_cli stats
+/// --json`, not here.
 class BenchJson {
  public:
   explicit BenchJson(std::string bench, std::string path)
       : bench_(std::move(bench)), path_(std::move(path)) {}
 
-  bool enabled() const { return !path_.empty(); }
-
-  void add(const std::string& series, double value, const std::string& unit, double wall_s) {
-    entries_.push_back(Entry{series, unit, value, wall_s});
-  }
-
-  /// Attach a raw pre-rendered JSON value under a top-level key — e.g.
-  /// `telemetry` = ht::telemetry::to_json(tester.metrics()), giving the
-  /// sidecar per-port latency quantiles and queue-depth gauges next to
-  /// the series numbers. The caller owns the validity of the JSON.
-  void set_block(const std::string& key, std::string raw_json) {
-    for (auto& b : blocks_) {
-      if (b.key == key) {
-        b.raw = std::move(raw_json);
-        return;
-      }
-    }
-    blocks_.push_back(Block{key, std::move(raw_json)});
+  void add(const std::string& series, double value, const std::string& unit) {
+    entries_.push_back(Entry{series, unit, value});
   }
 
   /// Write the file (no-op without --json). Returns false on I/O failure.
@@ -132,17 +119,13 @@ class BenchJson {
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"entries\": [\n", bench_.c_str());
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
-      std::fprintf(f,
-                   "    {\"series\": \"%s\", \"value\": %.6g, \"unit\": \"%s\", "
-                   "\"wall_s\": %.3f}%s\n",
-                   e.series.c_str(), e.value, e.unit.c_str(), e.wall_s,
+      char value[32];
+      const auto res = std::to_chars(value, value + sizeof value, e.value);
+      std::fprintf(f, "    {\"series\": \"%s\", \"value\": %.*s, \"unit\": \"%s\"}%s\n",
+                   e.series.c_str(), static_cast<int>(res.ptr - value), value, e.unit.c_str(),
                    i + 1 < entries_.size() ? "," : "");
     }
-    std::fprintf(f, "  ]");
-    for (const Block& b : blocks_) {
-      std::fprintf(f, ",\n  \"%s\": %s", b.key.c_str(), b.raw.c_str());
-    }
-    std::fprintf(f, "\n}\n");
+    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     return true;
   }
@@ -152,16 +135,10 @@ class BenchJson {
     std::string series;
     std::string unit;
     double value = 0.0;
-    double wall_s = 0.0;
-  };
-  struct Block {
-    std::string key;
-    std::string raw;
   };
   std::string bench_;
   std::string path_;
   std::vector<Entry> entries_;
-  std::vector<Block> blocks_;
 };
 
 inline void headline(const std::string& what, const std::string& paper_ref) {

@@ -15,8 +15,7 @@
 // restores from the newest attested snapshot and finishes the run. The
 // sidecar (BENCH_fig9_crash.json) reports delivered packets, result
 // completeness vs an uninterrupted supervised run (1.0 = byte-identical
-// recovery), recovery counts, and the supervision wall-clock overhead.
-#include <chrono>
+// recovery) and recovery counts.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -27,7 +26,6 @@
 #include "baseline/moongen.hpp"
 #include "common.hpp"
 #include "core/supervisor.hpp"
-#include "telemetry/export.hpp"
 
 namespace {
 
@@ -37,7 +35,6 @@ struct RunResult {
   std::uint64_t offered = 0;
   std::uint64_t delivered = 0;
   std::vector<std::pair<std::string, std::uint64_t>> drops;  ///< registry drop audit
-  std::string telemetry_json;  ///< registry dump (per-port latency quantiles etc.)
 };
 
 /// Run a line-rate generation task for 2 ms of sim time; with a nonzero
@@ -68,14 +65,7 @@ RunResult hypertester_run(double port_rate, std::size_t pkt_len, double loss_rat
                                static_cast<double>(r.offered)
                          : r.tx_gbps;
   r.drops = metrics.drop_counters();
-  r.telemetry_json = ht::telemetry::to_json(metrics);
   return r;
-}
-
-double hypertester_gbps(double port_rate, std::size_t pkt_len, ht::bench::BenchJson* json) {
-  const RunResult r = hypertester_run(port_rate, pkt_len, 0.0);
-  if (json != nullptr) json->set_block("telemetry", r.telemetry_json);
-  return r.tx_gbps;
 }
 
 // --- `--crash` variant: the sweep under supervised run lifecycle ------------
@@ -147,7 +137,6 @@ CrashRunResult supervised_run(std::size_t pkt_len, bool with_crash) {
 
 int main(int argc, char** argv) {
   using namespace ht;
-  using clock = std::chrono::steady_clock;
   const std::string json_path = bench::take_path(argc, argv, "--json");
   const double loss = bench::take_rate(argc, argv, "--loss", 0.0);
   const bool crash = bench::take_flag(argc, argv, "--crash");
@@ -158,32 +147,30 @@ int main(int argc, char** argv) {
     bench::headline("Figure 9 (crash variant): supervised run, tester killed at 50%",
                     "restore from attested snapshot; completeness 1.0 = recovered run "
                     "byte-identical to uninterrupted");
-    bench::row("%8s %12s %14s %12s %10s %10s", "size(B)", "delivered", "completeness",
-               "recoveries", "snaps", "wall(s)");
+    bench::row("%8s %12s %14s %12s %10s", "size(B)", "delivered", "completeness",
+               "recoveries", "snaps");
     bool all_identical = true;
     for (const auto s : {std::size_t{64}, std::size_t{512}, std::size_t{1500}}) {
       const CrashRunResult clean = supervised_run(s, /*with_crash=*/false);
-      const auto t0 = clock::now();
       const CrashRunResult recovered = supervised_run(s, /*with_crash=*/true);
-      const double wall = std::chrono::duration<double>(clock::now() - t0).count();
       const double completeness =
           clean.delivered > 0 ? static_cast<double>(recovered.delivered) /
                                     static_cast<double>(clean.delivered)
                               : 0.0;
       all_identical = all_identical && recovered.digest == clean.digest;
-      bench::row("%8zu %12llu %14.4f %12llu %10llu %10.2f", s,
+      bench::row("%8zu %12llu %14.4f %12llu %10llu", s,
                  static_cast<unsigned long long>(recovered.delivered), completeness,
                  static_cast<unsigned long long>(recovered.recoveries),
-                 static_cast<unsigned long long>(recovered.snapshots), wall);
+                 static_cast<unsigned long long>(recovered.snapshots));
       json.add("ht_crash_delivered_" + std::to_string(s) + "B",
-               static_cast<double>(recovered.delivered), "packets", wall);
-      json.add("ht_crash_completeness_" + std::to_string(s) + "B", completeness, "ratio", 0.0);
+               static_cast<double>(recovered.delivered), "packets");
+      json.add("ht_crash_completeness_" + std::to_string(s) + "B", completeness, "ratio");
       json.add("ht_crash_recoveries_" + std::to_string(s) + "B",
-               static_cast<double>(recovered.recoveries), "count", 0.0);
+               static_cast<double>(recovered.recoveries), "count");
     }
     std::printf("\nfinal-state digests %s across all sizes\n",
                 all_identical ? "byte-identical" : "DIVERGED");
-    json.add("ht_crash_state_identical", all_identical ? 1.0 : 0.0, "bool", 0.0);
+    json.add("ht_crash_state_identical", all_identical ? 1.0 : 0.0, "bool");
     return json.write() && all_identical ? 0 : 1;
   }
 
@@ -195,15 +182,13 @@ int main(int argc, char** argv) {
                "delivered");
     RunResult last;
     for (const auto s : sizes) {
-      const auto t0 = clock::now();
       const RunResult r = hypertester_run(100.0, s, loss);
-      const double wall = std::chrono::duration<double>(clock::now() - t0).count();
       bench::row("%8zu %12.1f %16.1f %12llu %12llu", s, r.tx_gbps, r.delivered_gbps,
                  static_cast<unsigned long long>(r.offered),
                  static_cast<unsigned long long>(r.delivered));
-      json.add("ht_100g_goodput_" + std::to_string(s) + "B", r.delivered_gbps, "gbps", wall);
+      json.add("ht_100g_goodput_" + std::to_string(s) + "B", r.delivered_gbps, "gbps");
       json.add("ht_100g_lost_" + std::to_string(s) + "B",
-               static_cast<double>(r.offered - r.delivered), "packets", 0.0);
+               static_cast<double>(r.offered - r.delivered), "packets");
       last = r;
     }
     std::printf("\ndrop report (1500B run):\n");
@@ -214,8 +199,7 @@ int main(int argc, char** argv) {
       dropped += count;
     }
     std::printf("%s\n", dropped > 0 ? "" : "no drops");
-    json.add("total_drops_1500B", static_cast<double>(dropped), "packets", 0.0);
-    json.set_block("telemetry", last.telemetry_json);
+    json.add("total_drops_1500B", static_cast<double>(dropped), "packets");
     return json.write() ? 0 : 1;
   }
 
@@ -226,27 +210,21 @@ int main(int argc, char** argv) {
                   "line rate for arbitrary packet sizes");
   bench::row("%8s %14s %14s %10s", "size(B)", "HT (Gbps)", "line (Gbps)", "Mpps");
   for (const auto s : sizes) {
-    const auto t0 = clock::now();
-    // The 64B run's registry dump becomes the sidecar's telemetry block
-    // (per-port wire-latency quantiles, queue-depth gauges).
-    const double gbps = hypertester_gbps(100.0, s, s == 64 ? &json : nullptr);
-    const double wall = std::chrono::duration<double>(clock::now() - t0).count();
+    const double gbps = hypertester_run(100.0, s, 0.0).tx_gbps;
     const double mpps = gbps * 1e9 / (static_cast<double>(s + 24) * 8.0) / 1e6;
     bench::row("%8zu %14.1f %14.1f %10.2f", s, gbps, 100.0, mpps);
-    json.add("ht_100g_gbps_" + std::to_string(s) + "B", gbps, "gbps", wall);
+    json.add("ht_100g_gbps_" + std::to_string(s) + "B", gbps, "gbps");
   }
 
   bench::headline("Figure 9(b): single 40G port, HyperTester vs MoonGen (1 core)",
                   "HT at line rate; MG below line rate for small packets");
   bench::row("%8s %12s %16s %12s", "size(B)", "HT (Gbps)", "MG 1-core (Gbps)", "line");
   for (const auto s : sizes) {
-    const auto t0 = clock::now();
-    const double ht_gbps = hypertester_gbps(40.0, s, nullptr);
-    const double wall = std::chrono::duration<double>(clock::now() - t0).count();
+    const double ht_gbps = hypertester_run(40.0, s, 0.0).tx_gbps;
     const double mg_gbps = mg.throughput_gbps(s, 1, 1, 40.0);
     bench::row("%8zu %12.1f %16.1f %12.1f", s, ht_gbps, mg_gbps, 40.0);
-    json.add("ht_40g_gbps_" + std::to_string(s) + "B", ht_gbps, "gbps", wall);
-    json.add("mg_40g_gbps_" + std::to_string(s) + "B", mg_gbps, "gbps", 0.0);
+    json.add("ht_40g_gbps_" + std::to_string(s) + "B", ht_gbps, "gbps");
+    json.add("mg_40g_gbps_" + std::to_string(s) + "B", mg_gbps, "gbps");
   }
   return json.write() ? 0 : 1;
 }

@@ -16,38 +16,15 @@
 //      divergence (or when (a) misses the million-connection bar).
 //
 // `--json <path>` writes the BENCH_l7.json sidecar (scripts/bench.sh --l7).
-#include <chrono>
 #include <string>
 
 #include "apps/tasks.hpp"
 #include "common.hpp"
 #include "core/cluster.hpp"
 #include "dut/stateful/workload_server.hpp"
-#include "telemetry/export.hpp"
+#include "sim/snapshot.hpp"
 
 namespace {
-
-using clock_type = std::chrono::steady_clock;
-
-double wall_since(clock_type::time_point t0) {
-  return std::chrono::duration<double>(clock_type::now() - t0).count();
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 // ---------------------------------------------------------------------------
 // (a) CPS high-water: ramp to 40M SYN/s aggregate, hold until every client
@@ -60,12 +37,10 @@ struct CpsRun {
   std::uint64_t backlog_drops = 0;
   double conn_per_sec = 0.0;  ///< completed handshakes over sim time
   double sim_ms = 0.0;
-  double wall_s = 0.0;
 };
 
 CpsRun run_cps_high_water() {
   using namespace ht;
-  const auto t0 = clock_type::now();
 
   TesterConfig cfg;
   cfg.asic.num_ports = 5;
@@ -110,7 +85,6 @@ CpsRun run_cps_high_water() {
   out.backlog_drops = server.tcb().stats().backlog_drops;
   out.sim_ms = static_cast<double>(elapsed) / 1e6;
   out.conn_per_sec = static_cast<double>(out.handshakes) / (static_cast<double>(elapsed) / 1e9);
-  out.wall_s = wall_since(t0);
   return out;
 }
 
@@ -122,12 +96,10 @@ struct RpsRun {
   std::uint64_t p50_ns = 0, p99_ns = 0;
   bool have_hist = false;
   double rps = 0.0;
-  double wall_s = 0.0;
 };
 
 RpsRun run_rps(bool chaos) {
   using namespace ht;
-  const auto t0 = clock_type::now();
 
   TesterConfig cfg;
   cfg.asic.num_ports = 2;
@@ -176,7 +148,6 @@ RpsRun run_rps(bool chaos) {
     out.p50_ns = h->quantile(0.50);
     out.p99_ns = h->quantile(0.99);
   }
-  out.wall_s = wall_since(t0);
   return out;
 }
 
@@ -187,12 +158,10 @@ struct DnsRun {
   std::uint64_t noerror = 0, nxdomain = 0;
   std::uint64_t p99_ns = 0;
   double rps = 0.0;
-  double wall_s = 0.0;
 };
 
 DnsRun run_dns() {
   using namespace ht;
-  const auto t0 = clock_type::now();
 
   TesterConfig cfg;
   cfg.asic.num_ports = 2;
@@ -225,7 +194,6 @@ DnsRun run_dns() {
       h != nullptr && h->count() > 0) {
     out.p99_ns = h->quantile(0.99);
   }
-  out.wall_s = wall_since(t0);
   return out;
 }
 
@@ -265,14 +233,15 @@ DetRun run_cps_sharded(std::size_t nshards) {
 
   DetRun out;
   out.handshakes = server.handshakes_completed();
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv1a_str(h, cluster.telemetry_report().prometheus);
-  h = fnv1a(h, server.fingerprint());
-  h = fnv1a(h, cluster.tester(0).query_matched(app.q_synack));
-  h = fnv1a(h, cluster.tester(0).query_matched(app.q_handshakes));
-  h = fnv1a(h, server.handshakes_completed());
-  h = fnv1a(h, server.syns_received());
-  out.digest = h;
+  sim::SnapshotWriter w;
+  w.begin_section("l7_cps_sharded");
+  w.str(cluster.telemetry_report().prometheus);
+  w.u64(server.fingerprint());
+  w.u64(cluster.tester(0).query_matched(app.q_synack));
+  w.u64(cluster.tester(0).query_matched(app.q_handshakes));
+  w.u64(server.handshakes_completed());
+  w.u64(server.syns_received());
+  out.digest = w.digest();
   return out;
 }
 
@@ -294,9 +263,8 @@ int main(int argc, char** argv) {
              static_cast<unsigned long long>(cps.backlog_drops));
   bench::row("%-28s %13.1fM", "connections/s (sim)", cps.conn_per_sec / 1e6);
   bench::row("%-28s %12.1fms", "sim time to drain", cps.sim_ms);
-  json.add("l7_cps_high_water_connections", static_cast<double>(cps.high_water), "connections",
-           cps.wall_s);
-  json.add("l7_cps_connections_per_sec", cps.conn_per_sec, "conn/s", cps.wall_s);
+  json.add("l7_cps_high_water_connections", static_cast<double>(cps.high_water), "connections");
+  json.add("l7_cps_connections_per_sec", cps.conn_per_sec, "conn/s");
 
   bench::headline("L4-L7 (b): HTTP RPS over a 16K-connection pool",
                   "status-line classes + state-based request latency, clean vs chaos");
@@ -316,9 +284,9 @@ int main(int argc, char** argv) {
   bench::row("%-28s %14llu %14llu", "p99 latency (ns)",
              static_cast<unsigned long long>(clean.p99_ns),
              static_cast<unsigned long long>(chaos.p99_ns));
-  json.add("l7_rps_responses_per_sec", clean.rps, "resp/s", clean.wall_s);
-  json.add("l7_rps_p99_latency_ns", static_cast<double>(clean.p99_ns), "ns", clean.wall_s);
-  json.add("l7_rps_p99_latency_chaos_ns", static_cast<double>(chaos.p99_ns), "ns", chaos.wall_s);
+  json.add("l7_rps_responses_per_sec", clean.rps, "resp/s");
+  json.add("l7_rps_p99_latency_ns", static_cast<double>(clean.p99_ns), "ns");
+  json.add("l7_rps_p99_latency_chaos_ns", static_cast<double>(chaos.p99_ns), "ns");
 
   bench::headline("L4-L7 (c): DNS query/response",
                   "RCODE nibble split: NOERROR vs NXDOMAIN");
@@ -327,11 +295,10 @@ int main(int argc, char** argv) {
   bench::row("%-28s %14llu", "NOERROR", static_cast<unsigned long long>(dns.noerror));
   bench::row("%-28s %14llu", "NXDOMAIN", static_cast<unsigned long long>(dns.nxdomain));
   bench::row("%-28s %14llu", "p99 latency (ns)", static_cast<unsigned long long>(dns.p99_ns));
-  json.add("l7_dns_responses_per_sec", dns.rps, "resp/s", dns.wall_s);
+  json.add("l7_dns_responses_per_sec", dns.rps, "resp/s");
 
   bench::headline("L4-L7 (d): CPS determinism across shard counts",
                   "byte-identical telemetry + server fingerprint on 1/2/4 shards");
-  const auto det_t0 = clock_type::now();
   bool det_ok = true;
   std::uint64_t det_digest = 0;
   bench::row("%8s %18s %12s", "shards", "digest", "handshakes");
@@ -343,7 +310,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(d.handshakes));
   }
   bench::row("%-28s %14s", "determinism", det_ok ? "ok" : "DIVERGED");
-  json.add("l7_cps_determinism", det_ok ? 1.0 : 0.0, "bool", wall_since(det_t0));
+  json.add("l7_cps_determinism", det_ok ? 1.0 : 0.0, "bool");
 
   // Shape checks: the paper-scale claims this bench exists to defend.
   bool ok = json.write();

@@ -1,5 +1,9 @@
 #!/usr/bin/env sh
-# Regenerate the machine-readable bench sidecars:
+# Regenerate the machine-readable bench sidecars. Wall-clock cost is
+# recorded only in BENCH_perf.json and BENCH_wall.jsonl (plus fig10's own
+# sharded-engine series); every other BENCH_*.json is a flat list of
+# {series, value, unit} sim-time results. The metrics-registry dump is
+# `ntapi_cli stats --json`, not a sidecar.
 #
 #   BENCH_perf.json  perf_micro: hot-path micro-benchmarks, written by
 #                    google-benchmark's JSON reporter (host context plus
@@ -10,13 +14,10 @@
 #                    with provenance and every repetition's raw record
 #                    (compare two files with `perfbench/run.py --compare`)
 #   BENCH_fig9.json  fig9_throughput_single_port: achieved Gbps per packet
-#                    size on 100G/40G ports, plus a `telemetry` block —
-#                    the 64B run's metrics-registry dump (per-port wire
-#                    latency quantiles, queue-depth gauges; DESIGN.md
-#                    sec. 10)
+#                    size on 100G/40G ports, with MoonGen's 40G model
 #   BENCH_fig9_lossy.json  the same 100G sweep through a chaos link with
 #                    1% Bernoulli loss: delivered goodput + drop counters
-#                    (DESIGN.md sec. 9) + the final run's telemetry block
+#                    (DESIGN.md sec. 9)
 #   BENCH_fig9_crash.json  the sweep under the supervised run lifecycle
 #                    (DESIGN.md sec. 14): tester killed at 50%, restored
 #                    from the newest attested snapshot. Reports delivered
@@ -86,11 +87,6 @@ if [ "$RUN_L7" = 1 ]; then
   "$BUILD_DIR/bench/l7_cps_rps" --json BENCH_l7.json
   WROTE="$WROTE BENCH_l7.json"
 fi
-
-# The fig9 sidecars must carry the registry dump.
-for f in BENCH_fig9.json BENCH_fig9_lossy.json; do
-  grep -q '"telemetry":' "$f" || { echo "bench.sh: $f missing telemetry block" >&2; exit 1; }
-done
 
 echo
 echo "wrote $WROTE"

@@ -87,30 +87,4 @@ class TraceRecorder {
   std::map<std::uint32_t, std::string> track_names_;
 };
 
-/// Manual span: captures the start timestamp, records on end(). Suited
-/// to the event-driven simulator where begin and end happen in
-/// different event handlers (RAII scopes would close too early).
-class Span {
- public:
-  Span(TraceRecorder& rec, std::string name, std::uint64_t start_ns, std::uint32_t track,
-       const char* category = "sim")
-      : rec_(rec), name_(std::move(name)), start_ns_(start_ns), track_(track),
-        category_(category) {}
-
-  void end(std::uint64_t now_ns) {
-    if (done_) return;
-    done_ = true;
-    rec_.complete(std::move(name_), start_ns_, now_ns >= start_ns_ ? now_ns - start_ns_ : 0,
-                  track_, category_);
-  }
-
- private:
-  TraceRecorder& rec_;
-  std::string name_;
-  std::uint64_t start_ns_;
-  std::uint32_t track_;
-  const char* category_;
-  bool done_ = false;
-};
-
 }  // namespace ht::telemetry

@@ -175,34 +175,11 @@ TEST(TickGroupPin, SameTickReplicasMatchPinnedBytes) {
 // Sharded golden runs: shard-count invariance over the full symx catalog.
 // ---------------------------------------------------------------------------
 
-std::vector<std::pair<std::string, ntapi::Task>> shard_catalog() {
-  using namespace apps;
-  std::vector<std::pair<std::string, ntapi::Task>> out;
-  out.emplace_back("throughput", throughput_test(1, 2, {0}).task);
-  out.emplace_back("delay", delay_test(1, 2, {0}, {1}, 2000).task);
-  out.emplace_back("delay_state", delay_test_state_based(1, 2, {0}, {1}, 2000).task);
-  out.emplace_back("ip_scan", ip_scan(0x0A000000, 16, 80, {0}).task);
-  out.emplace_back("syn_flood", syn_flood(1, 80, {0, 1}).task);
-  out.emplace_back("web", web_test(1, 80, 0x01010001, 4, {0}, 2000, 2).task);
-  out.emplace_back("udp_flood", udp_flood(1, 53, {0}).task);
-  out.emplace_back("dns_amp", dns_amplification(1, 0x08080800, 8, {0}).task);
-  out.emplace_back("loss", loss_test(1, 2, {0}, {1}, 16, 1000).task);
-  out.emplace_back("port_bw", port_bandwidth().task);
-  out.emplace_back("ping_sweep", ping_sweep(0x0A000000, 8, {0}).task);
-  return out;
-}
-
-struct ShardReplica {
-  sim::TimeNs at = 0;
-  std::vector<std::uint8_t> bytes;
-  bool operator==(const ShardReplica&) const = default;
-};
-
 /// Everything observable about one finished cluster run.
 struct ShardRunResult {
   std::vector<std::uint64_t> counters;  ///< flattened per-tester counter set
   std::vector<std::map<std::uint64_t, std::uint64_t>> store_fingerprints;
-  std::vector<std::vector<ShardReplica>> per_sink;
+  std::vector<std::vector<test::Arrival>> per_sink;
   std::string prometheus;  ///< merged cluster export (tester="tN" labels)
   bool sends_traffic = false;  ///< task has templates (receive-only tasks don't)
   bool operator==(const ShardRunResult&) const = default;
@@ -270,20 +247,13 @@ ShardRunResult run_sharded_catalog_task(const ntapi::Task& task, std::size_t nsh
       r.counters.push_back(port.dropped_no_peer());
     }
   }
-  for (const auto& sink : sinks) {
-    std::vector<ShardReplica> recs;
-    for (std::size_t i = 0; i < sink->packets.size(); ++i) {
-      const auto bytes = sink->packets[i]->bytes();
-      recs.push_back({sink->arrival_times[i], {bytes.begin(), bytes.end()}});
-    }
-    r.per_sink.push_back(std::move(recs));
-  }
+  for (const auto& sink : sinks) r.per_sink.push_back(sink->arrivals());
   r.prometheus = cluster.telemetry_report().prometheus;
   return r;
 }
 
 TEST(ShardedGoldenRun, CatalogByteIdenticalAcrossShardCounts) {
-  for (const auto& [name, task] : shard_catalog()) {
+  for (const auto& [name, task] : test::catalog()) {
     SCOPED_TRACE(name);
     const ShardRunResult golden = run_sharded_catalog_task(task, 1);
     // A sending workload must actually cross the engine to prove anything

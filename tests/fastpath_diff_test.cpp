@@ -20,7 +20,6 @@
 
 #include "analysis/symx/model.hpp"
 #include "analysis/symx/oracle.hpp"
-#include "apps/tasks.hpp"
 #include "core/hypertester.hpp"
 #include "testutil.hpp"
 
@@ -30,40 +29,11 @@ namespace {
 using analysis::symx::Oracle;
 using analysis::symx::TaskModel;
 
-struct CatalogCase {
-  std::string name;
-  ntapi::Task task;
-};
-
-std::vector<CatalogCase> catalog() {
-  using namespace apps;
-  std::vector<CatalogCase> out;
-  out.push_back({"throughput", throughput_test(1, 2, {0}).task});
-  out.push_back({"delay", delay_test(1, 2, {0}, {1}, 2000).task});
-  out.push_back({"delay_state", delay_test_state_based(1, 2, {0}, {1}, 2000).task});
-  out.push_back({"ip_scan", ip_scan(0x0A000000, 16, 80, {0}).task});
-  out.push_back({"syn_flood", syn_flood(1, 80, {0, 1}).task});
-  out.push_back({"web", web_test(1, 80, 0x01010001, 4, {0}, 2000, 2).task});
-  out.push_back({"udp_flood", udp_flood(1, 53, {0}).task});
-  out.push_back({"dns_amp", dns_amplification(1, 0x08080800, 8, {0}).task});
-  out.push_back({"loss", loss_test(1, 2, {0}, {1}, 16, 1000).task});
-  out.push_back({"port_bw", port_bandwidth().task});
-  out.push_back({"ping_sweep", ping_sweep(0x0A000000, 8, {0}).task});
-  return out;
-}
-
-struct ReplicaRecord {
-  sim::TimeNs at = 0;
-  std::vector<std::uint8_t> bytes;
-
-  bool operator==(const ReplicaRecord&) const = default;
-};
-
 struct RunResult {
   std::vector<std::uint64_t> evaluated, matched, keyless, out_of_window, distinct;
   std::vector<std::map<std::uint64_t, std::uint64_t>> store_fingerprints;
   std::vector<std::uint64_t> fires;
-  std::vector<std::vector<ReplicaRecord>> per_port;
+  std::vector<std::vector<test::Arrival>> per_port;
   std::uint64_t drops = 0;
   std::string prometheus;  ///< exposition text minus ht_fastpath_* series
 };
@@ -124,14 +94,7 @@ RunResult run_catalog_task(const ntapi::Task& task, bool fastpath) {
   for (std::size_t t = 0; t < compiled.templates.size(); ++t) {
     r.fires.push_back(tester.trigger_fires(ntapi::TriggerHandle{t}));
   }
-  for (const auto& sink : sinks) {
-    std::vector<ReplicaRecord> recs;
-    for (std::size_t i = 0; i < sink->packets.size(); ++i) {
-      const auto bytes = sink->packets[i]->bytes();
-      recs.push_back({sink->arrival_times[i], {bytes.begin(), bytes.end()}});
-    }
-    r.per_port.push_back(std::move(recs));
-  }
+  for (const auto& sink : sinks) r.per_port.push_back(sink->arrivals());
   r.drops = tester.asic().dropped_packets();
   r.prometheus = strip_fastpath_series(tester.telemetry_report().prometheus);
 
@@ -149,7 +112,7 @@ RunResult run_catalog_task(const ntapi::Task& task, bool fastpath) {
 }
 
 TEST(FastpathDiff, CatalogByteIdenticalAcrossPaths) {
-  for (const auto& cc : catalog()) {
+  for (const auto& cc : test::catalog()) {
     SCOPED_TRACE(cc.name);
     const RunResult fused = run_catalog_task(cc.task, /*fastpath=*/true);
     const RunResult interp = run_catalog_task(cc.task, /*fastpath=*/false);

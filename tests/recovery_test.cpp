@@ -260,23 +260,6 @@ TEST(CrashLifecycle, CrashFreezesWireRebootWipesRegistersStallHeals) {
 // Supervised lifecycle: the golden kill-and-restore suite
 // ---------------------------------------------------------------------------
 
-std::vector<std::pair<std::string, ntapi::Task>> catalog() {
-  using namespace apps;
-  std::vector<std::pair<std::string, ntapi::Task>> out;
-  out.emplace_back("throughput", throughput_test(1, 2, {0}).task);
-  out.emplace_back("delay", delay_test(1, 2, {0}, {1}, 2000).task);
-  out.emplace_back("delay_state", delay_test_state_based(1, 2, {0}, {1}, 2000).task);
-  out.emplace_back("ip_scan", ip_scan(0x0A000000, 16, 80, {0}).task);
-  out.emplace_back("syn_flood", syn_flood(1, 80, {0, 1}).task);
-  out.emplace_back("web", web_test(1, 80, 0x01010001, 4, {0}, 2000, 2).task);
-  out.emplace_back("udp_flood", udp_flood(1, 53, {0}).task);
-  out.emplace_back("dns_amp", dns_amplification(1, 0x08080800, 8, {0}).task);
-  out.emplace_back("loss", loss_test(1, 2, {0}, {1}, 16, 1000).task);
-  out.emplace_back("port_bw", port_bandwidth().task);
-  out.emplace_back("ping_sweep", ping_sweep(0x0A000000, 8, {0}).task);
-  return out;
-}
-
 using SinkVec = std::vector<std::unique_ptr<test::PortSink>>;
 
 /// The determinism-suite cluster harness as a Supervisor builder: two
@@ -312,16 +295,10 @@ Testbed build_catalog_testbed(const ntapi::Task& task, std::size_t nshards,
   return tb;
 }
 
-struct Replica {
-  sim::TimeNs at = 0;
-  std::vector<std::uint8_t> bytes;
-  bool operator==(const Replica&) const = default;
-};
-
 /// Everything a recovered run must reproduce byte-for-byte.
 struct FinalState {
   std::vector<std::uint64_t> tester_digests;
-  std::vector<std::vector<Replica>> per_sink;
+  std::vector<std::vector<test::Arrival>> per_sink;
   std::string prometheus;
   bool operator==(const FinalState&) const = default;
 };
@@ -332,14 +309,7 @@ FinalState collect(Testbed& tb) {
     out.tester_digests.push_back(tb.cluster->tester(t).state_digest());
   }
   const auto& sinks = *std::static_pointer_cast<SinkVec>(tb.keepalive);
-  for (const auto& sink : sinks) {
-    std::vector<Replica> recs;
-    for (std::size_t i = 0; i < sink->packets.size(); ++i) {
-      const auto bytes = sink->packets[i]->bytes();
-      recs.push_back({sink->arrival_times[i], {bytes.begin(), bytes.end()}});
-    }
-    out.per_sink.push_back(std::move(recs));
-  }
+  for (const auto& sink : sinks) out.per_sink.push_back(sink->arrivals());
   out.prometheus = tb.cluster->telemetry_report().prometheus;
   return out;
 }
@@ -361,7 +331,7 @@ SupervisorConfig catalog_cfg(SupervisorConfig::Policy policy, bool with_crash) {
 }
 
 TEST(CrashRecovery, GoldenKillRestoreByteIdenticalAcrossCatalogAndShards) {
-  for (const auto& [name, task] : catalog()) {
+  for (const auto& [name, task] : test::catalog()) {
     SCOPED_TRACE(name);
     const bool sends = !task.triggers().empty();
     for (const std::size_t nshards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {

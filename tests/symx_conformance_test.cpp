@@ -27,7 +27,6 @@
 
 #include "analysis/symx/model.hpp"
 #include "analysis/symx/oracle.hpp"
-#include "apps/tasks.hpp"
 #include "core/hypertester.hpp"
 #include "net/headers.hpp"
 #include "testutil.hpp"
@@ -38,35 +37,13 @@ namespace {
 using analysis::symx::Oracle;
 using analysis::symx::TaskModel;
 
-struct CatalogCase {
-  std::string name;
-  ntapi::Task task;
-};
-
-std::vector<CatalogCase> catalog() {
-  using namespace apps;
-  std::vector<CatalogCase> out;
-  out.push_back({"throughput", throughput_test(1, 2, {0}).task});
-  out.push_back({"delay", delay_test(1, 2, {0}, {1}, 2000).task});
-  out.push_back({"delay_state", delay_test_state_based(1, 2, {0}, {1}, 2000).task});
-  out.push_back({"ip_scan", ip_scan(0x0A000000, 16, 80, {0}).task});
-  out.push_back({"syn_flood", syn_flood(1, 80, {0, 1}).task});
-  out.push_back({"web", web_test(1, 80, 0x01010001, 4, {0}, 2000, 2).task});
-  out.push_back({"udp_flood", udp_flood(1, 53, {0}).task});
-  out.push_back({"dns_amp", dns_amplification(1, 0x08080800, 8, {0}).task});
-  out.push_back({"loss", loss_test(1, 2, {0}, {1}, 16, 1000).task});
-  out.push_back({"port_bw", port_bandwidth().task});
-  out.push_back({"ping_sweep", ping_sweep(0x0A000000, 8, {0}).task});
-  return out;
-}
-
 struct CoverageTally {
   std::size_t rules_total = 0;
   std::size_t rules_exercised = 0;
   std::vector<std::string> per_task_json;
 };
 
-void run_task_conformance(const CatalogCase& cc, CoverageTally& tally) {
+void run_task_conformance(const test::CatalogCase& cc, CoverageTally& tally) {
   SCOPED_TRACE(cc.name);
 
   // Deterministic testbed: no recirculation/mcast jitter, so replica
@@ -198,7 +175,7 @@ void run_task_conformance(const CatalogCase& cc, CoverageTally& tally) {
 
 TEST(SymxConformance, CatalogReplayMatchesOracle) {
   CoverageTally tally;
-  for (const auto& cc : catalog()) run_task_conformance(cc, tally);
+  for (const auto& cc : test::catalog()) run_task_conformance(cc, tally);
 
   ASSERT_GT(tally.rules_total, 0u);
   const double ratio =
@@ -223,7 +200,7 @@ TEST(SymxConformance, CatalogReplayMatchesOracle) {
 // Every inject case's packet must parse back to the path's witness values
 // on its own parse path — the suite is self-consistent even before replay.
 TEST(SymxConformance, InjectPacketsCarryTheirWitnessValues) {
-  for (const auto& cc : catalog()) {
+  for (const auto& cc : test::catalog()) {
     SCOPED_TRACE(cc.name);
     const rmt::AsicConfig asic;
     const auto compiled = ntapi::Compiler(asic).compile(cc.task);
