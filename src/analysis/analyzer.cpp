@@ -10,7 +10,6 @@ Analyzer Analyzer::with_default_passes() {
   a.add_pass(std::make_unique<EditorOrderPass>());
   a.add_pass(std::make_unique<FifoSchemaPass>());
   a.add_pass(std::make_unique<DeadEntryPass>());
-  a.add_pass(std::make_unique<ShadowedRulePass>());
   a.add_pass(std::make_unique<SymxCoveragePass>());
   a.add_pass(std::make_unique<FusionPass>());
   a.add_pass(std::make_unique<ResponseClassPass>());

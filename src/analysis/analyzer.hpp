@@ -37,10 +37,9 @@ class Pass {
 
 class Analyzer {
  public:
-  /// The ten built-in passes: stage-fit, SALU discipline, parser
+  /// The nine built-in passes: stage-fit, SALU discipline, parser
   /// coverage, editor order, FIFO schema, dead/shadowed entries,
-  /// shadowed rules (symx), symbolic path coverage (symx), fast-path
-  /// fusion, response classes.
+  /// symbolic path coverage (symx), fast-path fusion, response classes.
   static Analyzer with_default_passes();
 
   Analyzer() = default;
@@ -96,21 +95,15 @@ class FifoSchemaPass : public Pass {
   void run(const AnalysisInput& in, AnalysisReport& out) const override;
 };
 
-/// HT201/HT202/HT203: dead or shadowed entries in the generated match
-/// tables — unsatisfiable filters, filters dead against the monitored
-/// trigger's value support, duplicate exact-match keys.
+/// HT201/HT202/HT203/HT204: dead or shadowed entries in the generated
+/// match tables — one interval walk (symx::Cube) over each query's filter
+/// ops finds filters that can never match (HT201, contradicting earlier
+/// filters; HT202, outside the monitored trigger's value support) and
+/// filters that can never reject (HT204, every packet the earlier filters
+/// admit already satisfies them); plus duplicate exact-match keys (HT203).
 class DeadEntryPass : public Pass {
  public:
   std::string_view name() const override { return "dead-entries"; }
-  void run(const AnalysisInput& in, AnalysisReport& out) const override;
-};
-
-/// HT204: a filter that can never *reject* — every packet surviving the
-/// earlier operators already satisfies it, so the rule the compiler
-/// installs for it is shadowed by the preceding rules' key space.
-class ShadowedRulePass : public Pass {
- public:
-  std::string_view name() const override { return "shadowed-rules"; }
   void run(const AnalysisInput& in, AnalysisReport& out) const override;
 };
 

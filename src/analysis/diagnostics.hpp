@@ -20,8 +20,8 @@
 //   HT201  query filter shadowed by earlier filters (can never match)
 //   HT202  sent-traffic filter dead against the trigger's value support
 //   HT203  duplicate entry in the exact-key-matching table (shadowed)
-//   HT204  rule shadowed: a filter no packet reaching it can fail (an
-//          earlier rule's key space fully covers it)
+//   HT204  rule shadowed: a filter no packet reaching it can fail (the
+//          earlier filters' key space lies inside its pass set)
 //   HT205  template cannot run on the task-compiled fast path (one
 //          warning per blocking construct; falls back to interpreted)
 //   HT206  response-classification rule unreachable (shadowed by an
@@ -31,7 +31,9 @@
 //   HT303  parser state unreachable from the entry state
 //
 // HT1xx are errors (compile() refuses the task); HT2xx/HT3xx are warnings
-// (carried through CompiledTask).
+// (carried through CompiledTask). HT201, HT202 and HT204 come from one
+// interval walk over each query's filters (DeadEntryPass, on the symx
+// solver); HT301-HT303 from the symbolic model (SymxCoveragePass).
 #pragma once
 
 #include <cstddef>

@@ -1,11 +1,11 @@
-// FIFO-schema (HT105) and dead/shadowed-entry (HT201/202/203) passes.
+// FIFO-schema (HT105) and dead/shadowed-entry (HT201/202/203/204) passes.
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 
 #include "analysis/analyzer.hpp"
+#include "analysis/symx/solver.hpp"
 
 namespace ht::analysis {
 
@@ -34,46 +34,20 @@ std::string lane_list(const std::vector<net::FieldId>& lanes) {
   return out + "]";
 }
 
-/// Closed interval of field values a chain of filters still admits.
-struct Interval {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = UINT64_MAX;
-  bool empty = false;
-
-  void clamp_lo(std::uint64_t v) {
-    if (v > hi) empty = true;
-    lo = std::max(lo, v);
+/// The values a trigger's value binding can put on the wire, as a set
+/// over the field's domain: exact for constants, arrays, random buckets
+/// and ranges of up to 4096 points; the [min, max] hull beyond that.
+symx::IntervalSet value_support(const ntapi::Value& v) {
+  if (const auto* r = std::get_if<ntapi::RangeArray>(&v.get())) {
+    return symx::IntervalSet::stepped(r->start, v.max_value(), r->step);
   }
-  void clamp_hi(std::uint64_t v) {
-    if (v < lo) empty = true;
-    hi = std::min(hi, v);
-  }
-  void apply(htpr::Cmp cmp, std::uint64_t v) {
-    switch (cmp) {
-      case htpr::Cmp::kEq:
-        clamp_lo(v);
-        clamp_hi(v);
-        break;
-      case htpr::Cmp::kNe:
-        if (lo == hi && lo == v) empty = true;
-        break;
-      case htpr::Cmp::kLt:
-        if (v == 0) empty = true;
-        else clamp_hi(v - 1);
-        break;
-      case htpr::Cmp::kLe:
-        clamp_hi(v);
-        break;
-      case htpr::Cmp::kGt:
-        if (v == UINT64_MAX) empty = true;
-        else clamp_lo(v + 1);
-        break;
-      case htpr::Cmp::kGe:
-        clamp_lo(v);
-        break;
-    }
-  }
-};
+  std::vector<std::uint64_t> values;
+  if (!v.enumerate(values, 4096)) return symx::IntervalSet::range(v.min_value(), v.max_value());
+  std::sort(values.begin(), values.end());
+  symx::IntervalSet s;
+  for (const auto x : values) s.union_with(symx::IntervalSet::singleton(x));
+  return s;
+}
 
 std::string cmp_name(htpr::Cmp cmp) {
   switch (cmp) {
@@ -152,86 +126,84 @@ void FifoSchemaPass::run(const AnalysisInput& in, AnalysisReport& out) const {
 }
 
 void DeadEntryPass::run(const AnalysisInput& in, AnalysisReport& out) const {
-  for (std::size_t q = 0; q < in.task.queries().size(); ++q) {
-    const auto& query = in.task.queries()[q];
+  for (std::size_t q = 0; q < in.compiled.queries.size(); ++q) {
     const std::string where = "query[" + std::to_string(q) + "]";
 
-    // Seed per-field intervals from the monitored trigger's value support:
-    // a sent-traffic query observes exactly what the editor emits, so a
-    // filter outside that support can never match (dead table entry).
+    // A sent-traffic query observes exactly what the monitored trigger's
+    // editor emits, so its value bindings bound what a filter can see.
     const ntapi::Trigger* trig = nullptr;
-    if (query.monitored_trigger() &&
-        query.monitored_trigger()->index < in.task.triggers().size()) {
-      trig = &in.task.trigger(*query.monitored_trigger());
+    if (q < in.task.queries().size()) {
+      const auto& handle = in.task.queries()[q].monitored_trigger();
+      if (handle && handle->index < in.task.triggers().size()) trig = &in.task.trigger(*handle);
     }
 
-    std::map<net::FieldId, Interval> seen;
-    bool chain_dead = false;  // only report the first dead filter per field chain
-    for (const auto& step : query.steps()) {
-      const auto* f = std::get_if<ntapi::QFilter>(&step);
+    // The filters compile to a priority-ordered rule chain. `traffic` is
+    // what survives the filters so far, seeded with each field's value
+    // support; `chain` is the key space the earlier rules alone admit.
+    symx::Cube traffic;
+    symx::Cube chain;
+    const auto& ops = in.compiled.queries[q].config.ops;
+    for (std::size_t j = 0; j < ops.size(); ++j) {
+      const auto* f = std::get_if<htpr::FilterOp>(&ops[j]);
       if (f == nullptr || f->on_result) continue;
+      const std::string field = std::string(net::field_name(f->field));
+      const unsigned width = net::field_width(f->field);
+      const symx::IntervalSet pass = symx::IntervalSet::from_cmp(f->cmp, f->value, width);
 
-      Interval support;  // what the generated traffic can carry
-      const ntapi::Value* bound = nullptr;
+      // A filter whose pass set contains everything the earlier rules let
+      // through can never reject a packet: its reject rule is shadowed.
+      if (chain.feasible()) {
+        if (chain.get(f->field).subset_of(pass)) {
+          out.diagnostics.push_back(
+              {Severity::kWarning, "HT204", where,
+               "filter op[" + std::to_string(j) + "] on " + field +
+                   " is shadowed: every packet the earlier filters admit already satisfies it",
+               "remove the redundant filter or tighten its comparison"});
+        }
+        chain.meet(f->field, pass);
+      }
+
+      symx::IntervalSet support = symx::IntervalSet::full(width);
       if (trig != nullptr) {
-        if (const auto* b = trig->find(f->field)) bound = std::get_if<ntapi::Value>(&b->source);
-      }
-      if (bound != nullptr) {
-        support.lo = bound->min_value();
-        support.hi = bound->max_value();
-      }
-
-      const std::string pred = std::string(net::field_name(f->field)) + " " +
-                               cmp_name(f->cmp) + " " + std::to_string(f->value);
-
-      // Dead against the trigger's support alone?
-      Interval vs_support = support;
-      vs_support.apply(f->cmp, f->value);
-      bool exact_miss = false;
-      if (!vs_support.empty && bound != nullptr && f->cmp == htpr::Cmp::kEq) {
-        std::vector<std::uint64_t> values;
-        if (bound->enumerate(values, 4096)) {
-          exact_miss = std::find(values.begin(), values.end(), f->value) == values.end();
+        if (const auto* b = trig->find(f->field)) {
+          if (const auto* v = std::get_if<ntapi::Value>(&b->source)) support = value_support(*v);
         }
       }
-      if (vs_support.empty || exact_miss) {
+      const std::string pred = field + " " + cmp_name(f->cmp) + " " + std::to_string(f->value);
+
+      // Dead against the trigger's support alone?
+      symx::IntervalSet hit = support;
+      hit.intersect_with(pass);
+      if (hit.empty()) {
         out.diagnostics.push_back(
             {Severity::kWarning, "HT202", where,
-             "filter '" + pred + "' never matches the monitored trigger's traffic (" +
-                 std::string(net::field_name(f->field)) + " is generated in [" +
-                 std::to_string(support.lo) + ", " + std::to_string(support.hi) + "])",
+             "filter '" + pred + "' never matches the monitored trigger's traffic (" + field +
+                 " is generated in [" + std::to_string(support.min()) + ", " +
+                 std::to_string(support.max()) + "])",
              "adjust the filter or the trigger's value binding"});
         continue;
       }
 
-      // Shadowed by earlier filters on the same field?
-      auto [it, fresh] = seen.try_emplace(f->field, support);
-      Interval& cur = it->second;
-      (void)fresh;
-      const bool was_empty = cur.empty;
-      cur.apply(f->cmp, f->value);
-      if (cur.empty && !was_empty && !chain_dead) {
-        chain_dead = true;
+      // Dead against the earlier filters? Only the first is reported.
+      if (traffic.feasible() && !traffic.meet(f->field, hit)) {
         out.diagnostics.push_back(
             {Severity::kWarning, "HT201", where,
-             "filter '" + pred + "' is shadowed by earlier filters on '" +
-                 std::string(net::field_name(f->field)) + "' and can never match",
+             "filter '" + pred + "' is shadowed by earlier filters on '" + field +
+                 "' and can never match",
              "remove or merge the contradictory filters"});
       }
     }
 
     // Duplicate keys in the exact-key-matching table shadow each other:
     // only the first entry's counter ever updates.
-    if (q < in.compiled.queries.size()) {
-      std::set<std::vector<std::uint64_t>> unique;
-      for (const auto& key : in.compiled.queries[q].exact_keys) {
-        if (!unique.insert(key).second) {
-          out.diagnostics.push_back(
-              {Severity::kWarning, "HT203", where,
-               "duplicate entry in the exact-key-matching table (the second entry is "
-               "shadowed and its counter never updates)",
-               "deduplicate the precomputed collision keys"});
-        }
+    std::set<std::vector<std::uint64_t>> unique;
+    for (const auto& key : in.compiled.queries[q].exact_keys) {
+      if (!unique.insert(key).second) {
+        out.diagnostics.push_back(
+            {Severity::kWarning, "HT203", where,
+             "duplicate entry in the exact-key-matching table (the second entry is "
+             "shadowed and its counter never updates)",
+             "deduplicate the precomputed collision keys"});
       }
     }
   }

@@ -4,9 +4,9 @@
 //
 // The model is pure analysis — it never touches a live ASIC. It is shared
 // by the conformance oracle (src/analysis/symx/oracle.hpp), which turns
-// feasible paths into concrete packets, and by the symx lint passes
-// (HT204 shadowed rules, HT301 dead queries, HT302 dead entries, HT303
-// unreachable parser states).
+// feasible paths into concrete packets, and by the symx lint pass
+// (HT301 dead queries, HT302 dead entries, HT303 unreachable parser
+// states).
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,6 @@
-// Symx-backed lint passes (HT204, HT301/302/303). These run inside the
-// default analyzer, so every ntapi::Compiler::compile carries their
-// findings; `ntapi_cli lint` surfaces them as warnings.
+// The symx-backed lint pass (HT301/302/303). It runs inside the default
+// analyzer, so every ntapi::Compiler::compile carries its findings;
+// `ntapi_cli lint` surfaces them as warnings.
 #include <string>
 #include <variant>
 
@@ -15,34 +15,6 @@ namespace {
 std::string qwhere(std::size_t q) { return "query[" + std::to_string(q) + "]"; }
 
 }  // namespace
-
-void ShadowedRulePass::run(const AnalysisInput& in, AnalysisReport& out) const {
-  for (std::size_t q = 0; q < in.compiled.queries.size(); ++q) {
-    const auto& cfg = in.compiled.queries[q].config;
-    // The filters compile to a priority-ordered rule chain; a filter whose
-    // pass set already contains everything the earlier filters let through
-    // can never reject a packet — its reject rule is fully covered by the
-    // earlier rules' key space.
-    symx::Cube cube;
-    for (std::size_t j = 0; j < cfg.ops.size(); ++j) {
-      const auto* f = std::get_if<htpr::FilterOp>(&cfg.ops[j]);
-      if (f == nullptr || f->on_result) continue;
-      const unsigned w = net::field_width(f->field);
-      const symx::IntervalSet pass = symx::IntervalSet::from_cmp(f->cmp, f->value, w);
-      const symx::IntervalSet prior = cube.get(f->field);
-      if (prior.empty()) break;  // contradictory earlier filters: HT201's case
-      if (prior.subset_of(pass)) {
-        out.diagnostics.push_back(
-            {Severity::kWarning, "HT204", qwhere(q),
-             "filter op[" + std::to_string(j) + "] on " +
-                 std::string(net::field_name(f->field)) +
-                 " is shadowed: every packet the earlier filters admit already satisfies it",
-             "remove the redundant filter or tighten its comparison"});
-      }
-      if (!cube.meet(f->field, pass)) break;
-    }
-  }
-}
 
 void SymxCoveragePass::run(const AnalysisInput& in, AnalysisReport& out) const {
   symx::TaskModel model(in.task, in.compiled, in.asic);

@@ -36,11 +36,7 @@ IntervalSet IntervalSet::stepped(std::uint64_t start, std::uint64_t end, std::ui
   if (end < start) return none();
   if (step <= 1) return range(start, end);
   const std::uint64_t points = (end - start) / step + 1;
-  if (points > cap) {
-    IntervalSet s = range(start, end);
-    s.exact_ = false;  // over-approximation: the holes between steps are kept
-    return s;
-  }
+  if (points > cap) return range(start, end);  // over-approximation: holes are filled
   IntervalSet s;
   for (std::uint64_t k = 0; k < points; ++k) {
     const std::uint64_t v = start + k * step;
@@ -50,6 +46,18 @@ IntervalSet IntervalSet::stepped(std::uint64_t start, std::uint64_t end, std::ui
 }
 
 void IntervalSet::insert(std::uint64_t lo, std::uint64_t hi) {
+  // Starting at or after the last interval's start, [lo, hi] can only
+  // merge with that interval: ascending builds (value supports) skip the
+  // O(n) rebuild below.
+  if (!intervals_.empty() && lo >= intervals_.back().first) {
+    auto& last = intervals_.back();
+    if (lo <= last.second || lo - last.second == 1) {
+      last.second = std::max(last.second, hi);
+    } else {
+      intervals_.push_back({lo, hi});
+    }
+    return;
+  }
   // Find the insertion window, merging every interval that overlaps or is
   // adjacent to [lo, hi].
   std::vector<Interval> out;
@@ -103,12 +111,10 @@ std::uint64_t IntervalSet::value_at(std::uint64_t k) const {
 }
 
 void IntervalSet::union_with(const IntervalSet& other) {
-  exact_ = exact_ && other.exact_;
   for (const auto& [a, b] : other.intervals_) insert(a, b);
 }
 
 void IntervalSet::intersect_with(const IntervalSet& other) {
-  exact_ = exact_ && other.exact_;
   std::vector<Interval> out;
   std::size_t i = 0;
   std::size_t j = 0;
@@ -130,7 +136,6 @@ void IntervalSet::intersect_with(const IntervalSet& other) {
 IntervalSet IntervalSet::complement(unsigned width) const {
   const std::uint64_t dmax = domain_max(width);
   IntervalSet out;
-  out.exact_ = exact_;
   std::uint64_t next = 0;
   bool open = true;  // [next, ...] still uncovered
   for (const auto& [a, b] : intervals_) {
@@ -177,56 +182,6 @@ std::map<net::FieldId, std::uint64_t> Cube::witness() const {
   std::map<net::FieldId, std::uint64_t> out;
   for (const auto& [field, set] : fields_) {
     if (!set.empty()) out[field] = set.min();
-  }
-  return out;
-}
-
-// --- rule cover / shadow -----------------------------------------------------
-
-bool covers(const rmt::KeyMatch& a, const rmt::KeyMatch& b, rmt::MatchKind kind,
-            unsigned width) {
-  switch (kind) {
-    case rmt::MatchKind::kExact:
-      return a.value == b.value;
-    case rmt::MatchKind::kTernary:
-      // a matches a superset iff it cares about fewer bits, agreeing on
-      // the ones it does care about.
-      return (a.mask & ~b.mask) == 0 && ((a.value ^ b.value) & a.mask) == 0;
-    case rmt::MatchKind::kRange:
-      return a.value <= b.value && b.high <= a.high;
-    case rmt::MatchKind::kLpm: {
-      if (a.prefix_len > b.prefix_len || a.prefix_len > width) return false;
-      if (a.prefix_len == 0) return true;
-      const unsigned shift = width - a.prefix_len;
-      return shift >= 64 || ((a.value ^ b.value) >> shift) == 0;
-    }
-  }
-  return false;
-}
-
-std::vector<std::pair<std::size_t, std::size_t>> shadowed_rules(
-    const std::vector<rmt::MatchSpec>& key, const std::vector<SymRule>& rules) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  for (std::size_t j = 0; j < rules.size(); ++j) {
-    for (std::size_t i = 0; i < rules.size(); ++i) {
-      if (i == j) continue;
-      // `i` wins over `j` on any packet both match: strictly higher
-      // priority, or first-installed at equal priority.
-      const bool wins = rules[i].priority > rules[j].priority ||
-                        (rules[i].priority == rules[j].priority && i < j);
-      if (!wins || rules[i].keys.size() != key.size() || rules[j].keys.size() != key.size()) {
-        continue;
-      }
-      bool all = true;
-      for (std::size_t k = 0; all && k < key.size(); ++k) {
-        all = covers(rules[i].keys[k], rules[j].keys[k], key[k].kind,
-                     net::field_width(key[k].field));
-      }
-      if (all) {
-        out.push_back({i, j});
-        break;  // one shadower per shadowed rule
-      }
-    }
   }
   return out;
 }

@@ -16,12 +16,10 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "htpr/receiver.hpp"
 #include "net/fields.hpp"
-#include "rmt/table.hpp"
 
 namespace ht::analysis::symx {
 
@@ -45,13 +43,12 @@ class IntervalSet {
   static IntervalSet from_cmp(htpr::Cmp cmp, std::uint64_t value, unsigned width);
 
   /// A stepped range {start, start+step, ...} clipped to `end`, exact up
-  /// to `cap` points; beyond the cap it widens to [start, end] (sound
-  /// over-approximation, flagged via the return of exact()).
+  /// to `cap` points; beyond the cap it widens to [start, end] (a sound
+  /// over-approximation).
   static IntervalSet stepped(std::uint64_t start, std::uint64_t end, std::uint64_t step,
                              std::size_t cap = 4096);
 
   bool empty() const { return intervals_.empty(); }
-  bool exact() const { return exact_; }
   bool contains(std::uint64_t v) const;
   std::uint64_t min() const { return intervals_.front().first; }
   std::uint64_t max() const { return intervals_.back().second; }
@@ -65,13 +62,10 @@ class IntervalSet {
   IntervalSet complement(unsigned width) const;
   bool subset_of(const IntervalSet& other) const;
 
-  const std::vector<Interval>& intervals() const { return intervals_; }
-
  private:
   void insert(std::uint64_t lo, std::uint64_t hi);
 
   std::vector<Interval> intervals_;
-  bool exact_ = true;
 };
 
 /// A conjunction of per-field constraints: the path condition. Fields not
@@ -84,36 +78,14 @@ class Cube {
 
   bool feasible() const { return feasible_; }
   IntervalSet get(net::FieldId field) const;
-  bool constrains(net::FieldId field) const { return fields_.count(field) != 0; }
 
   /// A concrete assignment satisfying the cube: the smallest value of
   /// every constrained field (unconstrained fields are free).
   std::map<net::FieldId, std::uint64_t> witness() const;
 
-  const std::map<net::FieldId, IntervalSet>& fields() const { return fields_; }
-
  private:
   std::map<net::FieldId, IntervalSet> fields_;
   bool feasible_ = true;
 };
-
-// --- rule cover / shadow machinery -------------------------------------------
-
-/// One installed match-action rule, abstracted for cover reasoning.
-struct SymRule {
-  std::vector<rmt::KeyMatch> keys;  ///< parallel to the table's MatchSpec
-  int priority = 0;
-  std::string label;
-};
-
-/// Does criterion `a` match every value criterion `b` matches?
-/// `width` is the field width in bits (LPM needs it).
-bool covers(const rmt::KeyMatch& a, const rmt::KeyMatch& b, rmt::MatchKind kind, unsigned width);
-
-/// Indices of rules that can never hit because an earlier/higher-priority
-/// rule's key space fully covers theirs. Returns (shadowing, shadowed)
-/// pairs; a rule is reported once, against its first shadower.
-std::vector<std::pair<std::size_t, std::size_t>> shadowed_rules(
-    const std::vector<rmt::MatchSpec>& key, const std::vector<SymRule>& rules);
 
 }  // namespace ht::analysis::symx

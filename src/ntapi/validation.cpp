@@ -229,6 +229,7 @@ std::vector<ValidationError> validate(const Task& task, const rmt::AsicConfig& a
         if (f->on_result && !seen_agg) {
           errors.push_back({where, "result filter before any reduce"});
         }
+        if (!f->on_result) check_value(Value::constant(f->value), f->field, where, errors);
       } else if (std::holds_alternative<QMap>(step)) {
         seen_map = true;
       } else if (std::holds_alternative<QReduce>(step)) {

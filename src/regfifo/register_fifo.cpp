@@ -1,6 +1,5 @@
 #include "regfifo/register_fifo.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace ht::regfifo {
@@ -32,22 +31,14 @@ std::size_t RegisterFifo::size() const {
   return static_cast<std::uint32_t>(rear - front);
 }
 
-bool RegisterFifo::reject(const std::vector<std::uint64_t>& record, bool injected) {
-  ++overflows_;
-  if (injected) ++injected_overflows_;
-  if (on_overflow) on_overflow(record);
-  // The §6.1 limitation made loud: in debug builds a suite can turn an
-  // overflow into a hard stop instead of a dropped record.
-  assert(!assert_on_overflow_ && "RegisterFifo overflow");
-  return false;
-}
-
 bool RegisterFifo::enqueue(const std::vector<std::uint64_t>& record) {
   if (record.size() != lanes_) {
     throw std::invalid_argument("RegisterFifo: record arity mismatch");
   }
-  if (inject_overflow_ && inject_overflow_()) return reject(record, /*injected=*/true);
-  if (full()) return reject(record, /*injected=*/false);
+  if (full()) {
+    ++overflows_;
+    return false;
+  }
   // `update` on the rear counter: increment and return the slot index.
   const std::uint64_t slot =
       rear_->execute(0, [](std::uint64_t& rear) { return rear++; }) & (capacity_ - 1);

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,40 +56,17 @@ class RegisterFifo {
   std::uint64_t enqueued() const { return enqueued_; }
   std::uint64_t dequeued() const { return dequeued_; }
   std::uint64_t overflows() const { return overflows_; }
-  std::uint64_t injected_overflows() const { return injected_overflows_; }
-
-  /// Overflow observer: invoked (with the dropped record) every time an
-  /// enqueue is rejected — the stateless-connection layer uses this so a
-  /// burst (e.g. a SYN+ACK storm overrunning the trigger FIFO) is
-  /// reported, never silently swallowed.
-  std::function<void(const std::vector<std::uint64_t>&)> on_overflow;
-
-  /// Debug tripwire: when set, an overflow asserts in debug builds (the
-  /// record is still counted and dropped in release builds). For suites
-  /// that consider any overflow a bug, not a statistic.
-  void set_assert_on_overflow(bool v) { assert_on_overflow_ = v; }
-
-  /// Fault injection (sim/fault.hpp layer): when the hook returns true
-  /// the enqueue behaves as if the queue were full — the §6.1 overflow
-  /// path can then be exercised deterministically regardless of actual
-  /// occupancy. Counted separately in `injected_overflows`.
-  void set_overflow_injection(std::function<bool()> fn) { inject_overflow_ = std::move(fn); }
 
  private:
-  bool reject(const std::vector<std::uint64_t>& record, bool injected);
-
   std::string name_;
   std::size_t capacity_;
   std::size_t lanes_;
   rmt::RegisterArray* front_;
   rmt::RegisterArray* rear_;
   std::vector<rmt::RegisterArray*> storage_;
-  std::function<bool()> inject_overflow_;
-  bool assert_on_overflow_ = false;
   std::uint64_t enqueued_ = 0;
   std::uint64_t dequeued_ = 0;
   std::uint64_t overflows_ = 0;
-  std::uint64_t injected_overflows_ = 0;
 };
 
 }  // namespace ht::regfifo

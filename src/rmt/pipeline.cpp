@@ -16,13 +16,6 @@ MatchActionTable& Pipeline::add_table(std::string table_name, std::vector<MatchS
       std::move(gate));
 }
 
-MatchActionTable* Pipeline::find_table(const std::string& table_name) {
-  for (auto& node : nodes_) {
-    if (node.table->name() == table_name) return node.table.get();
-  }
-  return nullptr;
-}
-
 void Pipeline::apply(ActionContext& ctx) {
   for (auto& node : nodes_) {
     if (node.gate && !node.gate(ctx.phv)) continue;

@@ -59,8 +59,6 @@ class Pipeline {
   MatchActionTable& add_table(std::string table_name, std::vector<MatchSpec> key,
                               std::size_t size_hint = 1024, GatewayFn gate = nullptr);
 
-  MatchActionTable* find_table(const std::string& table_name);
-
   /// Run every (gated) table in order over the PHV.
   void apply(ActionContext& ctx);
 

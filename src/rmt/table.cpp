@@ -44,11 +44,6 @@ void MatchActionTable::set_default(std::string action_name, ActionFn action) {
   default_entry_ = TableEntry{{}, -1, std::move(action_name), std::move(action)};
 }
 
-void MatchActionTable::clear_entries() {
-  entries_.clear();
-  exact_index_.clear();
-}
-
 std::string MatchActionTable::pack_exact_key(const Phv& phv) const {
   std::string out;
   out.reserve(key_.size() * 8);

@@ -92,7 +92,6 @@ class MatchActionTable {
   /// arity mismatch or when an exact table exceeds its declared size.
   void add_entry(TableEntry entry);
   void set_default(std::string action_name, ActionFn action);
-  void clear_entries();
 
   /// Match + execute: runs the hit entry's action or the default action.
   /// Returns true on hit.

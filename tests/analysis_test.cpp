@@ -54,6 +54,10 @@ TEST(Analysis, SilentOnEveryExampleTask) {
   tasks.push_back(loss_test(1, 2, {0}, {1}, 1000).task);
   tasks.push_back(port_bandwidth().task);
   tasks.push_back(ping_sweep(0x0A000000, 128, {0}).task);
+  // The L7 tasks, shaped like the perfbench workloads.
+  tasks.push_back(http_cps(0x0C0C0C0C, 80, 0x0A000000, 65536, {1, 2, 3, 4}, {{0, 200}}).task);
+  tasks.push_back(http_rps(0x0C0C0C0C, 80, 0x0B000000, 16384, {1}, 100, 200).task);
+  tasks.push_back(dns_rps(0x0C0C0C0C, 0x0B100000, 128, {1}).task);
 
   const Compiler compiler;
   for (const auto& task : tasks) {
@@ -258,6 +262,21 @@ TEST(Analysis, ContradictoryFiltersAreHT201) {
   EXPECT_NE(compiled.warnings.back().find("HT201"), std::string::npos);
 }
 
+TEST(Analysis, ContradictionAtTheFieldWidthIsHT201) {
+  // ipv4.ttl is 8 bits wide: after `> 254` only 255 is left, and the
+  // second filter excludes it.
+  ntapi::Task task("ttl");
+  task.add_query(ntapi::Query()
+                     .filter(FieldId::kIpv4Ttl, htpr::Cmp::kGt, 254)
+                     .filter(FieldId::kIpv4Ttl, htpr::Cmp::kNe, 255));
+  const auto compiled = Compiler().compile(task);
+  ASSERT_EQ(compiled.analysis.diagnostics.size(), 1u);
+  const auto& d = compiled.analysis.diagnostics[0];
+  EXPECT_EQ(d.code, "HT201");
+  EXPECT_EQ(d.where, "query[0]");
+  EXPECT_FALSE(has_code(compiled.analysis, "HT301"));
+}
+
 TEST(Analysis, FilterOutsideTriggerSupportIsHT202) {
   ntapi::Task task("dead");
   const auto t = task.add_trigger(
@@ -314,6 +333,33 @@ TEST(Analysis, ContradictionIsNotHT204) {
   const auto compiled = Compiler().compile(task);
   EXPECT_TRUE(has_code(compiled.analysis, "HT201"));
   EXPECT_FALSE(has_code(compiled.analysis, "HT204"));
+}
+
+TEST(Analysis, DeadAndShadowedFilterLinesAreStable) {
+  // One query raising HT201, HT202 and HT204 at once: the exact lines
+  // ntapi_cli lint prints.
+  ntapi::Task task("all-three");
+  const auto t = task.add_trigger(
+      ntapi::Trigger().set(FieldId::kIpv4Dip, 1).set(FieldId::kTcpSport,
+                                                     Value::range(1000, 2000, 1)));
+  task.add_query(ntapi::Query(t)
+                     .filter(FieldId::kTcpDport, htpr::Cmp::kGt, 100)
+                     .filter(FieldId::kTcpDport, htpr::Cmp::kGt, 50)
+                     .filter(FieldId::kTcpSport, htpr::Cmp::kEq, 5)
+                     .filter(FieldId::kTcpSport, htpr::Cmp::kGe, 1500)
+                     .filter(FieldId::kTcpSport, htpr::Cmp::kLt, 1200));
+  const auto compiled = Compiler().compile(task);
+  std::vector<std::string> lines;
+  for (const auto& d : compiled.analysis.diagnostics) lines.push_back(analysis::format(d));
+  EXPECT_EQ(lines, (std::vector<std::string>{
+                       "HT201 warning query[0]: filter 'tcp.sport < 1200' is shadowed by earlier "
+                       "filters on 'tcp.sport' and can never match",
+                       "HT202 warning query[0]: filter 'tcp.sport == 5' never matches the "
+                       "monitored trigger's traffic (tcp.sport is generated in [1000, 2000])",
+                       "HT204 warning query[0]: filter op[1] on tcp.dport is shadowed: every "
+                       "packet the earlier filters admit already satisfies it",
+                   }));
+  EXPECT_EQ(compiled.warnings, lines);
 }
 
 // ---------------------------------------------------------------------------
@@ -429,7 +475,7 @@ TEST(Analysis, RunStampsPassIds) {
 }
 
 TEST(Analysis, DefaultAnalyzerHasNinePasses) {
-  EXPECT_EQ(analysis::Analyzer::with_default_passes().pass_count(), 10u);
+  EXPECT_EQ(analysis::Analyzer::with_default_passes().pass_count(), 9u);
 }
 
 }  // namespace

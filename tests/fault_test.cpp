@@ -1,9 +1,9 @@
 // Fault-injection layer tests (chaos links).
 //
 // Covers the FaultInjector pathologies one by one on a raw wire, the
-// fault hooks threaded through the stack (Port FCS, RegisterFifo
-// overflow, ASIC ingress), the control-plane retry/timeout machinery
-// (Controller RPC loss, PeriodicPoller backoff + FailureReport), the
+// fault hooks threaded through the stack (Port FCS, ASIC ingress), the
+// control-plane retry/timeout machinery (Controller RPC loss,
+// PeriodicPoller backoff + FailureReport), the
 // registry's drop audit trail for chaos links, and Supervisor stall
 // detection when a link dies mid-task. Everything here is seeded: the
 // suite doubles as the injector's determinism contract.
@@ -24,7 +24,6 @@
 #include "net/headers.hpp"
 #include "net/packet.hpp"
 #include "net/packet_builder.hpp"
-#include "regfifo/register_fifo.hpp"
 #include "rmt/registers.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault.hpp"
@@ -254,49 +253,6 @@ TEST(RetryPolicy, BackoffIsCappedExponential) {
   EXPECT_EQ(p.backoff(40), 1'000u);  // still capped
   EXPECT_EQ(p.backoff(70), 1'000u);  // shift width guard
 }
-
-TEST(RegisterFifoFaults, OverflowInvokesHookAndCounts) {
-  rmt::RegisterFile rf;
-  regfifo::RegisterFifo fifo(rf, "f", 4, 1);
-  std::vector<std::vector<std::uint64_t>> rejected;
-  fifo.on_overflow = [&](const std::vector<std::uint64_t>& rec) { rejected.push_back(rec); };
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_TRUE(fifo.enqueue({i}));
-  EXPECT_FALSE(fifo.enqueue({99}));
-  EXPECT_EQ(fifo.overflows(), 1u);
-  EXPECT_EQ(fifo.injected_overflows(), 0u);
-  ASSERT_EQ(rejected.size(), 1u);
-  EXPECT_EQ(rejected[0][0], 99u);
-  EXPECT_EQ(fifo.name(), "f");
-}
-
-TEST(RegisterFifoFaults, InjectedOverflowRejectsRegardlessOfOccupancy) {
-  rmt::RegisterFile rf;
-  regfifo::RegisterFifo fifo(rf, "f", 8, 1);
-  bool arm = true;
-  fifo.set_overflow_injection([&arm] {
-    const bool fire = arm;
-    arm = false;
-    return fire;
-  });
-  EXPECT_FALSE(fifo.enqueue({1}));  // injected: queue is empty but rejects
-  EXPECT_EQ(fifo.injected_overflows(), 1u);
-  EXPECT_EQ(fifo.overflows(), 1u);
-  EXPECT_TRUE(fifo.enqueue({2}));  // one-shot injection disarmed
-  EXPECT_EQ(fifo.size(), 1u);
-}
-
-#ifndef NDEBUG
-using RegisterFifoDeathTest = ::testing::Test;
-TEST(RegisterFifoDeathTest, AssertOnOverflowTripsInDebugBuilds) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  rmt::RegisterFile rf;
-  regfifo::RegisterFifo fifo(rf, "f", 2, 1);
-  fifo.set_assert_on_overflow(true);
-  EXPECT_TRUE(fifo.enqueue({0}));
-  EXPECT_TRUE(fifo.enqueue({1}));
-  EXPECT_DEATH(fifo.enqueue({2}), "RegisterFifo overflow");
-}
-#endif
 
 TEST(AsicFaults, IngressFaultHookDropsAndCounts) {
   rmt::AsicConfig cfg;

@@ -96,6 +96,25 @@ TEST(Validation, RejectsOversizedFieldValue) {
   EXPECT_NE(errors[0].message.find("exceeds width"), std::string::npos);
 }
 
+TEST(Validation, RejectsOversizedFilterConstant) {
+  // A filter constant is checked against the field width like a set
+  // value; a result filter compares the reduce result and is exempt.
+  Task task("bad");
+  task.add_query(Query().filter(FieldId::kTcpDport, htpr::Cmp::kEq, 70000));
+  const auto errors = validate(task, {});
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].where, "query[0]");
+  EXPECT_EQ(errors[0].message, "value 70000 exceeds width of tcp.dport (max 65535)");
+
+  Task ok("ok");
+  ok.add_query(Query()
+                   .filter(FieldId::kTcpDport, htpr::Cmp::kEq, 65535)
+                   .map({FieldId::kIpv4Sip})
+                   .reduce(Reduce::kCount)
+                   .filter_result(htpr::Cmp::kGe, 70000));
+  EXPECT_TRUE(validate(ok, {}).empty());
+}
+
 TEST(Validation, RejectsFieldOutsideStack) {
   Task task("bad");
   task.add_trigger(Trigger()

@@ -77,6 +77,7 @@ TEST(RegisterFifo, BuiltFromRegisterArrays) {
   // visible through the register file, as on real hardware.
   rmt::RegisterFile rf;
   RegisterFifo q(rf, "vis", 8, 1);
+  EXPECT_EQ(q.name(), "vis");
   q.enqueue({123});
   EXPECT_EQ(rf.get("vis.rear").read(0), 1u);
   EXPECT_EQ(rf.get("vis.front").read(0), 0u);
