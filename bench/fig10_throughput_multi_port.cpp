@@ -6,9 +6,12 @@
 //  (c) Sharded engine: the same eight-tester 100G workload executed on
 //      1/2/4/8 worker shards (or the single count given via --shards N).
 //      Simulated results are byte-identical across shard counts; only
-//      wall-clock throughput changes. `--json <path>` records the
-//      fig10_pkts_per_sec_shards{N} + fig10_scaling_efficiency series;
-//      efficiency divides by min(8, cores), recorded as fig10_host_cores.
+//      wall-clock throughput changes, so each count runs kReps times,
+//      interleaved with the others, and reports the median with its
+//      min/max. `--json <path>` records the fig10_pkts_per_sec_shards{N}
+//      medians, their _min/_max, fig10_repetitions and
+//      fig10_scaling_efficiency (from medians); efficiency divides by
+//      min(8, cores), recorded as fig10_host_cores.
 #include <algorithm>
 #include <chrono>
 #include <memory>
@@ -24,11 +27,28 @@ namespace {
 
 using namespace ht;
 
+/// Repetitions per shard count: wall-clock throughput on a shared host
+/// moves by tens of percent between back-to-back runs.
+constexpr std::size_t kReps = 5;
+
 struct ShardedRun {
   std::uint64_t packets = 0;
-  double wall_s = 0.0;
   double pkts_per_sec = 0.0;
 };
+
+/// Median, min and max of one shard count's repetitions.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  const double median = n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+  return {median, v.front(), v.back()};
+}
 
 /// The (c) workload: `testers` independent single-port 100G testers
 /// placed round-robin over `nshards` shards, each blasting 64B frames at
@@ -67,12 +87,12 @@ ShardedRun run_sharded_throughput(std::size_t nshards, std::size_t testers) {
   }
   const auto t0 = clock::now();
   cluster.run_for(sim::ms(2));
+  const double wall_s = std::chrono::duration<double>(clock::now() - t0).count();
   ShardedRun out;
-  out.wall_s = std::chrono::duration<double>(clock::now() - t0).count();
   for (std::size_t t = 0; t < cluster.size(); ++t) {
     out.packets += cluster.tester(t).asic().egress_packets();
   }
-  out.pkts_per_sec = static_cast<double>(out.packets) / out.wall_s;
+  out.pkts_per_sec = static_cast<double>(out.packets) / wall_s;
   return out;
 }
 
@@ -111,30 +131,46 @@ int main(int argc, char** argv) {
   }
 
   bench::headline("Figure 10(c): sharded engine (" + std::to_string(fleet) +
-                      " testers x 100G, 64B, 2ms window)",
+                      " testers x 100G, 64B, 2ms window, " + std::to_string(kReps) +
+                      " interleaved runs per count)",
                   "wall-clock scaling of the shard-per-worker engine");
-  bench::row("%8s %12s %14s %12s %10s", "shards", "packets", "pkts/s (wall)", "wall (s)",
-             "speedup");
   std::vector<std::size_t> counts;
   if (shards_arg > 0) {
     counts.push_back(shards_arg);
   } else {
     counts = {1, 2, 4, 8};
   }
-  double base_pps = 0.0;
-  for (const std::size_t nshards : counts) {
-    const ShardedRun r = run_sharded_throughput(nshards, fleet);
-    if (base_pps == 0.0) base_pps = r.pkts_per_sec;
-    bench::row("%8zu %12llu %14.0f %12.3f %9.2fx", nshards,
-               static_cast<unsigned long long>(r.packets), r.pkts_per_sec, r.wall_s,
-               r.pkts_per_sec / base_pps);
-    json.add("fig10_pkts_per_sec_shards" + std::to_string(nshards), r.pkts_per_sec, "pkts/s");
+  // Round-robin over the counts, so slow and fast host phases spread over
+  // all of them instead of landing on one.
+  std::vector<std::vector<double>> pps(counts.size());
+  std::vector<std::uint64_t> packets(counts.size(), 0);
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      const ShardedRun r = run_sharded_throughput(counts[i], fleet);
+      pps[i].push_back(r.pkts_per_sec);
+      packets[i] = r.packets;
+    }
+  }
+  bench::row("%8s %12s %14s %14s %14s %10s", "shards", "packets", "median pkts/s", "min pkts/s",
+             "max pkts/s", "speedup");
+  json.add("fig10_repetitions", static_cast<double>(kReps), "count");
+  const double base_pps = spread_of(pps.front()).median;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const std::size_t nshards = counts[i];
+    const Spread s = spread_of(pps[i]);
+    bench::row("%8zu %12llu %14.0f %14.0f %14.0f %9.2fx", nshards,
+               static_cast<unsigned long long>(packets[i]), s.median, s.min, s.max,
+               s.median / base_pps);
+    const std::string series = "fig10_pkts_per_sec_shards" + std::to_string(nshards);
+    json.add(series, s.median, "pkts/s");
+    json.add(series + "_min", s.min, "pkts/s");
+    json.add(series + "_max", s.max, "pkts/s");
     if (nshards == 8 && counts.front() == 1) {
       // Eight shards on fewer cores can speed up by at most the core
       // count, so that is the ideal an oversubscribed host is held to.
       const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
       const double ideal = static_cast<double>(std::min<std::size_t>(nshards, cores));
-      json.add("fig10_scaling_efficiency", r.pkts_per_sec / (ideal * base_pps), "ratio");
+      json.add("fig10_scaling_efficiency", s.median / (ideal * base_pps), "ratio");
       json.add("fig10_host_cores", cores, "count");
     }
   }

@@ -15,9 +15,9 @@
 //                so received-traffic queries see the sent traffic
 //
 // The `stats` subcommand runs the script exactly as the plain run does,
-// prints one `engine:` line of event-slab and packet-pool facts (host
-// numbers from the tester's ShardGroup, never part of the registry or a
-// digest), and dumps the tester's metrics registry — Prometheus exposition
+// prints one `engine:` line of event-slab, packet-pool and lap-skeleton
+// facts (host numbers from the tester's ShardGroup and ASIC, never part of
+// the registry or a digest), and dumps the tester's metrics registry — Prometheus exposition
 // text by default, compact JSON with --json. The registry carries every
 // drop counter and the controller's retry/backoff counters. With
 // `--trace out.json` it also records the run's tracing spans and writes a
@@ -422,12 +422,13 @@ int main(int argc, char** argv) {
       const auto pool = tester.shard_group().aggregate_pool_stats();
       std::printf(
           "engine: slab %llu hits / %llu misses, high-water %llu, %llu heap closures; "
-          "pool %llu hits / %llu misses, high-water %llu\n\n",
+          "pool %llu hits / %llu misses, high-water %llu; %llu idle laps elided\n\n",
           static_cast<unsigned long long>(slab.hits), static_cast<unsigned long long>(slab.misses),
           static_cast<unsigned long long>(slab.high_water),
           static_cast<unsigned long long>(slab.heap_closures),
           static_cast<unsigned long long>(pool.hits), static_cast<unsigned long long>(pool.misses),
-          static_cast<unsigned long long>(pool.high_water));
+          static_cast<unsigned long long>(pool.high_water),
+          static_cast<unsigned long long>(tester.asic().elided_laps()));
       const auto report = tester.telemetry_report();
       std::fputs(stats_json ? report.json.c_str() : report.prometheus.c_str(), stdout);
       if (stats_json) std::fputc('\n', stdout);

@@ -26,10 +26,13 @@
 #                    the binary exits nonzero if the recovered final state
 #                    is not byte-identical to the clean run's
 #   BENCH_fig10.json fig10_throughput_multi_port: per-port line-rate table
-#                    plus the sharded-engine wall-clock scaling sweep
-#                    (fig10_pkts_per_sec_shards{1,2,4,8} and
-#                    fig10_scaling_efficiency over min(8, cores), with
-#                    fig10_host_cores; DESIGN.md sec. 13). Pass
+#                    plus the sharded-engine wall-clock scaling sweep, five
+#                    interleaved runs per shard count
+#                    (fig10_pkts_per_sec_shards{1,2,4,8} medians with
+#                    their _min/_max, fig10_repetitions, and
+#                    fig10_scaling_efficiency from medians over
+#                    min(8, cores), with fig10_host_cores; DESIGN.md
+#                    sec. 13). Pass
 #                    `--shards N` through to measure a single shard count
 #                    and `--testers N` to grow the fleet beyond the
 #                    default 8 (auto-placed over the shards).

@@ -163,24 +163,38 @@ void DeadEntryPass::run(const AnalysisInput& in, AnalysisReport& out) const {
         chain.meet(f->field, pass);
       }
 
+      // The field's support: what the monitored trigger generates when it
+      // binds the field, else the field's whole domain.
       symx::IntervalSet support = symx::IntervalSet::full(width);
+      bool bound = false;
       if (trig != nullptr) {
         if (const auto* b = trig->find(f->field)) {
-          if (const auto* v = std::get_if<ntapi::Value>(&b->source)) support = value_support(*v);
+          if (const auto* v = std::get_if<ntapi::Value>(&b->source)) {
+            support = value_support(*v);
+            bound = true;
+          }
         }
       }
       const std::string pred = field + " " + cmp_name(f->cmp) + " " + std::to_string(f->value);
 
-      // Dead against the trigger's support alone?
+      // Dead against the support alone?
       symx::IntervalSet hit = support;
       hit.intersect_with(pass);
       if (hit.empty()) {
-        out.diagnostics.push_back(
-            {Severity::kWarning, "HT202", where,
-             "filter '" + pred + "' never matches the monitored trigger's traffic (" + field +
-                 " is generated in [" + std::to_string(support.min()) + ", " +
-                 std::to_string(support.max()) + "])",
-             "adjust the filter or the trigger's value binding"});
+        const std::string range =
+            "[" + std::to_string(support.min()) + ", " + std::to_string(support.max()) + "]";
+        if (bound) {
+          out.diagnostics.push_back(
+              {Severity::kWarning, "HT202", where,
+               "filter '" + pred + "' never matches the monitored trigger's traffic (" +
+                   field + " is generated in " + range + ")",
+               "adjust the filter or the trigger's value binding"});
+        } else {
+          out.diagnostics.push_back({Severity::kWarning, "HT202", where,
+                                     "filter '" + pred + "' never matches: " + field +
+                                         " only takes values in " + range,
+                                     "adjust the filter's comparison"});
+        }
         continue;
       }
 

@@ -219,6 +219,10 @@ void CounterStore::maintenance_pass(rmt::ActionContext& ctx) {
   }
 }
 
+void CounterStore::idle_maintenance_pass() {
+  if (fifo_.dequeue()) throw std::logic_error("CounterStore: idle maintenance on a busy FIFO");
+}
+
 std::uint64_t CounterStore::total_for_key(
     std::span<const std::uint64_t> key,
     const std::map<std::uint64_t, std::uint64_t>& cpu_evicted) const {

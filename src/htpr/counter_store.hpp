@@ -97,6 +97,10 @@ class CounterStore {
   /// (Fig 5): pops at most one KV pair from the FIFO and places or
   /// displaces it. No-op when the FIFO is empty.
   void maintenance_pass(rmt::ActionContext& ctx);
+  /// maintenance_pass over an empty KV FIFO: the gated dequeue finds
+  /// nothing and books its SALU execution. Throws if the FIFO was not
+  /// empty.
+  void idle_maintenance_pass();
 
   // --- control-plane readback ------------------------------------------------
   /// Total for one key across exact counters, both cuckoo buckets, FIFO

@@ -111,17 +111,21 @@ void Sender::install() {
   // interval (Fig 14b); shared equally among the templates on the same
   // channel (amortizing across loopback channels multiplies capacity,
   // §6.1) unless overridden.
-  loop_targets_.resize(n, 1);
+  lap_facts_.resize(n);
   const std::size_t channels = recirc_ports_.size();
   for (std::uint32_t t = 0; t < n; ++t) {
-    const auto& cfg = templates_[t];
+    auto& cfg = templates_[t];
+    LapFacts& f = lap_facts_[t];
     if (cfg.loop_copies > 0) {
-      loop_targets_[t] = cfg.loop_copies;
+      f.loop_target = cfg.loop_copies;
     } else {
       const std::uint64_t cap = asic_.timing().loop_fill_target(cfg.spec.pkt_len);
       const std::size_t sharers = (n + channels - 1) / channels;  // per channel
-      loop_targets_[t] = std::max<std::uint64_t>(1, cap / std::max<std::size_t>(sharers, 1));
+      f.loop_target = std::max<std::uint64_t>(1, cap / std::max<std::size_t>(sharers, 1));
     }
+    f.fire_limit = cfg.fire_limit;
+    if (cfg.mode == TemplateConfig::Mode::kFifoTriggered) f.trigger_fifo = cfg.trigger_fifo;
+    if (!cfg.interval_ramp.empty()) f.ramp = &cfg.interval_ramp;
   }
 
   // Ingress: accelerator + replicator. Only CPU-injected or recirculating

@@ -155,13 +155,33 @@ class Sender {
   template <class Ctx>
   void egress_core(std::uint32_t tid, Ctx& ctx);
 
+  /// True when ingress_core on a recirculating copy of `tid` at `now`
+  /// would unicast it straight back to its channel and write no register
+  /// cell: not accelerating, ramp anchored, timer not due or fire_limit
+  /// reached, trigger FIFO empty. Mirrors ingress_core; the lap skeleton
+  /// (rmt/asic.hpp) elides such laps.
+  bool lap_idle(std::uint32_t tid, std::uint64_t now) const;
+  /// Book the SALU executions ingress_core performs on an idle lap (each
+  /// leaves its cell unchanged). Call only when lap_idle() holds.
+  void book_idle_lap(std::uint32_t tid);
+
  private:
   void ingress_action(std::uint32_t tid, rmt::ActionContext& ctx);
   void egress_action(std::uint32_t tid, rmt::ActionContext& ctx);
 
   /// Mcast group that doubles a template back into the loop (acceleration).
   static constexpr std::uint16_t kAccelGroupBase = 0x4000;
-  std::vector<std::uint64_t> loop_targets_;
+
+  /// What a lap reads of its template, packed apart from the (large)
+  /// TemplateConfig: the accelerator fill target, and the mode facts the
+  /// lap skeleton's idle test needs at recirculation rate.
+  struct LapFacts {
+    std::uint64_t loop_target = 1;
+    std::uint64_t fire_limit = 0;
+    regfifo::RegisterFifo* trigger_fifo = nullptr;  ///< FIFO-triggered mode only
+    const std::vector<RampStep>* ramp = nullptr;    ///< set when the interval ramps
+  };
+  std::vector<LapFacts> lap_facts_;
 
   rmt::SwitchAsic& asic_;
   /// Channels used for amortization; single entry when pinned.
@@ -206,7 +226,7 @@ void Sender::ingress_core(std::uint32_t tid, Ctx& ctx) {
   // holds the target number of copies (copies = count + 1), saturating the
   // recirculation bandwidth at ~100Gbps (§5.1 "amplifying template
   // packets").
-  const std::uint64_t target = loop_targets_[tid];
+  const std::uint64_t target = lap_facts_[tid].loop_target;
   bool accelerating = false;
   loop_count_->execute(tid, [&](std::uint64_t& count) -> std::uint64_t {
     if (count + 1 < target) {
@@ -272,6 +292,33 @@ void Sender::ingress_core(std::uint32_t tid, Ctx& ctx) {
   } else {
     ctx.unicast(recirc_port_of(tid));
   }
+}
+
+inline bool Sender::lap_idle(std::uint32_t tid, std::uint64_t now) const {
+  const LapFacts& f = lap_facts_[tid];
+  if (loop_count_->read(tid) + 1 < f.loop_target) return false;  // accelerating
+  if (f.trigger_fifo != nullptr) return f.trigger_fifo->empty();
+  if (f.fire_limit != 0 && fires_->read(tid) >= f.fire_limit) return true;
+  std::uint64_t interval = intervals_->read(tid);
+  if (f.ramp != nullptr) {
+    const std::uint64_t anchor = ramp_anchor_->read(tid);
+    if (anchor == 0) return false;  // this pass anchors the ramp
+    interval = ramp_interval(*f.ramp, now - anchor);
+  }
+  return now - last_tx_->read(tid) < interval;
+}
+
+inline void Sender::book_idle_lap(std::uint32_t tid) {
+  const LapFacts& f = lap_facts_[tid];
+  const auto keep = [](std::uint64_t& cell) { return cell; };
+  loop_count_->execute(tid, keep);
+  if (f.trigger_fifo != nullptr) {
+    (void)f.trigger_fifo->dequeue();  // empty: the gated front update only
+    return;
+  }
+  if (f.fire_limit != 0 && fires_->read(tid) >= f.fire_limit) return;
+  if (f.ramp != nullptr) ramp_anchor_->execute(tid, keep);
+  last_tx_->execute(tid, keep);
 }
 
 template <class Ctx>

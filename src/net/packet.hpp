@@ -115,7 +115,6 @@ struct PacketMeta {
   std::uint32_t template_id = 0;        ///< which template this replica came from
   std::uint32_t replica_index = 0;      ///< index assigned by the mcast engine
   bool is_template = false;             ///< true while circulating in the accelerator
-  std::uint32_t recirc_count = 0;       ///< number of completed recirculation loops
   /// Ingress-to-egress bridged metadata (Tofino bridge header). The
   /// stateless-connection path pops a trigger record at ingress and the
   /// egress editor consumes it from here (§5.3).

@@ -22,10 +22,26 @@ bool field_in_stack(net::FieldId field, net::HeaderKind l4) {
   }
 }
 
+/// The largest value `value` puts on the wire. A random value emits only
+/// its inverse-transform bucket values, so its bound is the largest
+/// bucket, not max_value()'s analytic tail (mean + 6 sigma for a normal).
+/// A random value whose table cannot be built keeps the analytic bound;
+/// check_value reports its parameters.
+std::uint64_t emitted_max(const Value& value) {
+  const auto* rnd = std::get_if<RandomArray>(&value.get());
+  if (rnd == nullptr || rnd->buckets == 0 || rnd->rng_bits == 0 || rnd->rng_bits > 32 ||
+      (rnd->dist == RandomArray::Dist::kUniform && (rnd->p1 < 0 || rnd->p2 < rnd->p1))) {
+    return value.max_value();
+  }
+  std::vector<std::uint64_t> support;  // sorted: enumerate lists a random value's buckets in order
+  if (!value.enumerate(support, rnd->buckets) || support.empty()) return value.max_value();
+  return support.back();
+}
+
 void check_value(const Value& value, net::FieldId field, const std::string& where,
                  std::vector<ValidationError>& errors) {
   const auto max = net::FieldRegistry::instance().max_value(field);
-  if (value.max_value() > max) {
+  if (emitted_max(value) > max) {
     errors.push_back({where, "value " + value.to_string() + " exceeds width of " +
                                  std::string(net::field_name(field)) + " (max " +
                                  std::to_string(max) + ")"});

@@ -23,14 +23,6 @@ RegisterFifo::RegisterFifo(rmt::RegisterFile& rf, const std::string& name, std::
   }
 }
 
-std::size_t RegisterFifo::size() const {
-  // 32-bit counters wrap together, so modular subtraction is safe as long
-  // as occupancy stays below 2^32 — guaranteed by the capacity check.
-  const std::uint32_t front = static_cast<std::uint32_t>(front_->read(0));
-  const std::uint32_t rear = static_cast<std::uint32_t>(rear_->read(0));
-  return static_cast<std::uint32_t>(rear - front);
-}
-
 bool RegisterFifo::enqueue(const std::vector<std::uint64_t>& record) {
   if (record.size() != lanes_) {
     throw std::invalid_argument("RegisterFifo: record arity mismatch");

@@ -37,7 +37,13 @@ class RegisterFifo {
   const std::string& name() const { return name_; }
 
   /// Occupancy derived from the two counters (front <= rear always holds).
-  std::size_t size() const;
+  std::size_t size() const {
+    // 32-bit counters wrap together, so modular subtraction is safe as long
+    // as occupancy stays below 2^32 — guaranteed by the capacity check.
+    const auto front = static_cast<std::uint32_t>(front_->read(0));
+    const auto rear = static_cast<std::uint32_t>(rear_->read(0));
+    return static_cast<std::uint32_t>(rear - front);
+  }
   bool empty() const { return size() == 0; }
   bool full() const { return size() >= capacity_; }
 

@@ -1,5 +1,6 @@
 #include "rmt/asic.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,6 +12,9 @@ namespace ht::rmt {
 SwitchAsic::SwitchAsic(sim::EventQueue& ev, AsicConfig cfg)
     : ev_(ev),
       cfg_(cfg),
+      unicast_delay_ns_(static_cast<sim::TimeNs>(
+          std::llround(cfg.timing.ingress_latency_ns + cfg.timing.tm_unicast_latency_ns))),
+      egress_delay_ns_(static_cast<sim::TimeNs>(std::llround(cfg.timing.egress_latency_ns))),
       rng_(cfg.seed),
       parser_(Parser::default_graph()),
       ingress_("ingress", cfg.max_stages),
@@ -171,12 +175,9 @@ void SwitchAsic::to_traffic_manager(net::PacketPtr pkt, IntrinsicMeta im) {
     case Destination::kDrop:
       ++dropped_;
       return;
-    case Destination::kUnicast: {
-      const auto delay =
-          static_cast<sim::TimeNs>(std::llround(ingress + cfg_.timing.tm_unicast_latency_ns));
-      schedule_egress(delay, EgressReplica{std::move(pkt), im.ucast_port, 0});
+    case Destination::kUnicast:
+      schedule_egress(unicast_delay_ns_, EgressReplica{std::move(pkt), im.ucast_port, 0});
       return;
-    }
     case Destination::kMulticast: {
       const auto& members = mcast_.members(im.mcast_group);
       if (members.empty()) return;
@@ -264,7 +265,7 @@ void SwitchAsic::run_egress(std::span<EgressReplica> reps) {
     }
     ++egress_packets_;
   }
-  const auto delay = static_cast<sim::TimeNs>(std::llround(cfg_.timing.egress_latency_ns));
+  const sim::TimeNs delay = egress_delay_ns_;
   if (trace_.enabled()) {
     trace_.complete("egress", now, static_cast<std::uint64_t>(delay),
                     telemetry::TraceRecorder::kTrackEgress);
@@ -294,27 +295,16 @@ void SwitchAsic::emit(net::PacketPtr pkt, std::uint16_t eport, sim::TimeNs now_n
       ++recirc_admin_drops_;
       return;
     }
-    RecircChannel& ch = recirc_[eport - kRecircPortBase];
-    const double now = static_cast<double>(now_ns);
-    const double start = std::max(now, ch.busy_until);
-    const double ser = cfg_.timing.recirc_serialization_ns(pkt->size());
-    ch.busy_until = start + ser;
-    ++ch.loops;
-    ++recirculations_;
-    const double arrive = start + ser +
-                          TimingModel::jittered(rng_, cfg_.timing.recirc_fixed_ns,
-                                                cfg_.timing.recirc_jitter_sigma_ns);
-    if (trace_.enabled() && arrive >= now) {
-      trace_.complete("recirc", now_ns, static_cast<std::uint64_t>(std::llround(arrive - now)),
-                      telemetry::TraceRecorder::kTrackRecirc);
+    const net::PacketMeta& m = pkt->meta();
+    const auto bytes = static_cast<std::uint32_t>(pkt->size());
+    Lap lap{{recirc_lap(eport, bytes, now_ns), 0}, 0, m.template_id, bytes, eport};
+    // Park the copy when current registers predict an idle arrival.
+    if (m.is_template && parks(lap) && fastpath_->lap_idle(lap.tid, ev_.now())) {
+      lap.slot = park_slot(std::move(pkt));
+      park(lap);
+      return;
     }
-    ev_.schedule_at(static_cast<sim::TimeNs>(std::llround(arrive)),
-                    [this, pkt = std::move(pkt), eport]() mutable {
-                      pkt->meta().recirc_count++;
-                      pkt->meta().ingress_port = eport;
-                      pkt->meta().ingress_tstamp_ns = ev_.now();
-                      enter_ingress(std::move(pkt));
-                    });
+    schedule_arrival(lap.key.at, std::move(pkt), eport);
     return;
   }
   if (eport >= ports_.size()) {
@@ -324,6 +314,179 @@ void SwitchAsic::emit(net::PacketPtr pkt, std::uint16_t eport, sim::TimeNs now_n
   pkt->meta().egress_port = eport;
   pkt->meta().egress_tstamp_ns = now_ns;
   ports_[eport]->send_at(now_ns, std::move(pkt));
+}
+
+sim::TimeNs SwitchAsic::recirc_lap(std::uint16_t eport, std::size_t bytes,
+                                   sim::TimeNs now_ns) {
+  RecircChannel& ch = recirc_[eport - kRecircPortBase];
+  const double now = static_cast<double>(now_ns);
+  const double start = std::max(now, ch.busy_until);
+  const double ser = cfg_.timing.recirc_serialization_ns(bytes);
+  ch.busy_until = start + ser;
+  ++ch.loops;
+  ++recirculations_;
+  const double arrive = start + ser +
+                        TimingModel::jittered(rng_, cfg_.timing.recirc_fixed_ns,
+                                              cfg_.timing.recirc_jitter_sigma_ns);
+  if (trace_.enabled() && arrive >= now) {
+    trace_.complete("recirc", now_ns, static_cast<std::uint64_t>(std::llround(arrive - now)),
+                    telemetry::TraceRecorder::kTrackRecirc);
+  }
+  return static_cast<sim::TimeNs>(std::llround(arrive));
+}
+
+void SwitchAsic::recirc_arrive(net::PacketPtr pkt, std::uint16_t eport) {
+  pkt->meta().ingress_port = eport;
+  pkt->meta().ingress_tstamp_ns = ev_.now();
+  enter_ingress(std::move(pkt));
+}
+
+void SwitchAsic::schedule_arrival(sim::TimeNs at, net::PacketPtr pkt, std::uint16_t eport) {
+  ev_.schedule_at(at, [this, pkt = std::move(pkt), eport]() mutable {
+    recirc_arrive(std::move(pkt), eport);
+  });
+}
+
+bool SwitchAsic::parks(const Lap& lap) const {
+  // Between replays the armed event must stay at the earliest parked key,
+  // so a copy due before it travels as a real event for this lap.
+  return fastpath_ != nullptr && !ingress_fault_ && !(laps_armed_ && lap.key.at < armed_at_);
+}
+
+void SwitchAsic::park(const Lap& lap) {
+  recirc_[lap.port - kRecircPortBase].parked.insert(
+      {{lap.key.at, ev_.reserve_seq()}, lap.slot, lap.tid, lap.bytes, lap.port});
+  if (!laps_running_ && !laps_armed_) arm_laps();
+}
+
+std::uint32_t SwitchAsic::park_slot(net::PacketPtr pkt) {
+  if (free_slots_.empty()) {
+    parked_pkts_.push_back(std::move(pkt));
+    return static_cast<std::uint32_t>(parked_pkts_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  parked_pkts_[slot] = std::move(pkt);
+  return slot;
+}
+
+net::PacketPtr SwitchAsic::unpark_slot(std::uint32_t slot) {
+  free_slots_.push_back(slot);
+  return std::move(parked_pkts_[slot]);
+}
+
+void SwitchAsic::LapQueue::insert(const Lap& lap) {
+  if (size_ > mask_ || buf_.empty()) {
+    std::vector<Lap> grown(std::max<std::size_t>(64, 2 * buf_.size()));
+    for (std::size_t i = 0; i < size_; ++i) grown[i] = buf_[(head_ + i) & mask_];
+    buf_ = std::move(grown);
+    mask_ = buf_.size() - 1;
+    head_ = 0;
+  }
+  std::size_t i = size_++;
+  for (; i > 0 && lap.key < buf_[(head_ + i - 1) & mask_].key; --i) {
+    buf_[(head_ + i) & mask_] = buf_[(head_ + i - 1) & mask_];
+  }
+  buf_[(head_ + i) & mask_] = lap;
+}
+
+SwitchAsic::LapQueue* SwitchAsic::next_lap() {
+  LapQueue* next = lap_egresses_.empty() ? nullptr : &lap_egresses_;
+  for (RecircChannel& ch : recirc_) {
+    if (!ch.parked.empty() && (next == nullptr || ch.parked.front().key < next->front().key)) {
+      next = &ch.parked;
+    }
+  }
+  return next;
+}
+
+void SwitchAsic::arm_laps() {
+  const sim::EventQueue::Key key = next_lap()->front().key;
+  ev_.schedule_at_key(key, [this] { run_laps(); });
+  laps_armed_ = true;
+  armed_at_ = key.at;
+}
+
+void SwitchAsic::run_laps() {
+  laps_armed_ = false;
+  laps_running_ = true;
+
+  try {
+    // The queue counted the armed event itself: it is the first replayed
+    // one, at the earliest parked key. Each later one books its own.
+    bool first = true;
+    for (LapQueue* q = next_lap(); q != nullptr; q = next_lap(), first = false) {
+      if (!first) {
+        const sim::EventQueue::Key key = q->front().key;
+        if (!(key < ev_.peek_head())) break;
+        ev_.account_executed(key.at);
+      }
+      const Lap lap = q->pop();
+      if (q == &lap_egresses_) {
+        replay_egress(lap);
+      } else {
+        replay_arrival(lap);
+      }
+    }
+  } catch (...) {
+    laps_running_ = false;
+    if (next_lap() != nullptr) arm_laps();
+    throw;
+  }
+  laps_running_ = false;
+  if (next_lap() != nullptr) arm_laps();
+}
+
+void SwitchAsic::replay_arrival(Lap lap) {
+  std::uint16_t loop_port = 0;
+  if (ingress_fault_ || fastpath_ == nullptr ||
+      !fastpath_->try_idle_lap(lap.tid, lap.key.at, loop_port)) {
+    // Busy (or no longer elidable): the real arrival, at its own key.
+    recirc_arrive(unpark_slot(lap.slot), lap.port);
+    return;
+  }
+  // What enter_ingress and to_traffic_manager do for an idle lap, minus the
+  // pass try_idle_lap booked: the egress event's seq is reserved here, as
+  // schedule_egress would have taken it.
+  ++ingress_packets_;
+  ++elided_laps_;
+  if (trace_.enabled()) {
+    trace_.complete("ingress", lap.key.at,
+                    static_cast<std::uint64_t>(std::llround(cfg_.timing.ingress_latency_ns)),
+                    telemetry::TraceRecorder::kTrackIngress);
+  }
+  lap.key = {lap.key.at + unicast_delay_ns_, ev_.reserve_seq()};
+  lap.port = loop_port;
+  lap_egresses_.insert(lap);
+}
+
+void SwitchAsic::replay_egress(Lap lap) {
+  const sim::TimeNs now = lap.key.at;
+  if (fastpath_ == nullptr || !fastpath_->try_egress(parked_pkts_[lap.slot], lap.port, now)) {
+    EgressReplica r{unpark_slot(lap.slot), lap.port, 0};
+    run_egress({&r, 1});
+    return;
+  }
+  // run_egress for one fused replica bound for a recirculation channel:
+  // the pass only counted itself, so what remains is emit's recirculation
+  // leg. The copy stays parked without a prediction: its arrival is
+  // tested anyway.
+  ++egress_packets_;
+  if (trace_.enabled()) {
+    trace_.complete("egress", now, static_cast<std::uint64_t>(egress_delay_ns_),
+                    telemetry::TraceRecorder::kTrackEgress);
+  }
+  if (!recirc_admin_up_) {
+    ++recirc_admin_drops_;
+    unpark_slot(lap.slot);
+    return;
+  }
+  lap.key.at = recirc_lap(lap.port, lap.bytes, now + egress_delay_ns_);
+  if (parks(lap)) {
+    park(lap);
+    return;
+  }
+  schedule_arrival(lap.key.at, unpark_slot(lap.slot), lap.port);
 }
 
 }  // namespace ht::rmt

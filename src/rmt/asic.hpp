@@ -133,6 +133,11 @@ class SwitchAsic {
   std::uint64_t recirculations() const { return recirculations_; }
   std::uint64_t replicas_created() const { return replicas_; }
   std::uint64_t injected_drops() const { return injected_drops_; }
+  /// Idle recirculation laps the lap skeleton replayed without an event
+  /// or a pipeline pass. A host fact like the slab statistics: it depends
+  /// on the execution path, so it stays out of the registry and every
+  /// digest.
+  std::uint64_t elided_laps() const { return elided_laps_; }
 
  private:
   /// One packet headed for egress: a unicast packet or a multicast replica.
@@ -160,10 +165,76 @@ class SwitchAsic {
   /// pass time + egress latency (the CPU punt keeps its own event).
   void run_egress(std::span<EgressReplica> reps);
   void emit(net::PacketPtr pkt, std::uint16_t eport, sim::TimeNs now_ns);
+  /// The recirculation channel's timing for one copy sent at `now_ns`:
+  /// serializer clock, loop counters, jitter draw from rng_ and trace
+  /// span. Returns the arrival time back at ingress.
+  sim::TimeNs recirc_lap(std::uint16_t eport, std::size_t bytes, sim::TimeNs now_ns);
+  /// A copy arriving back from its recirculation channel.
+  void recirc_arrive(net::PacketPtr pkt, std::uint16_t eport);
+
+  // --- lap skeleton (DESIGN.md §8) ------------------------------------------
+  // On the fused path, a template copy whose next arrival current registers
+  // predict idle (the replicator would unicast it straight back and write
+  // no register cell) is parked here instead of travelling through queue
+  // events. Its pending event — arrival or recirculation egress — keeps the
+  // exact (time, seq) key the real event would have had; one armed queue
+  // event at the earliest key replays parked events in key order until the
+  // queue's next real key or the run deadline. Idleness is re-tested
+  // against live state at each replayed arrival: a busy arrival runs the
+  // real handler right there, at its own key.
+  /// One parked event. Trivially copyable: the copy itself waits in
+  /// parked_pkts_[slot] and never moves while it laps.
+  struct Lap {
+    sim::EventQueue::Key key;
+    std::uint32_t slot = 0;   ///< index into parked_pkts_
+    std::uint32_t tid = 0;    ///< the copy's template
+    std::uint32_t bytes = 0;  ///< its size
+    std::uint16_t port = 0;   ///< the recirculation channel
+  };
+  /// Parked events in key order: the recirculation egresses, and each
+  /// channel's arrivals. Keys come almost in order (egress keys exactly,
+  /// one channel's arrivals up to the jitter), so an insert walks back a
+  /// step or two from the tail.
+  class LapQueue {
+   public:
+    bool empty() const { return size_ == 0; }
+    const Lap& front() const { return buf_[head_]; }
+    Lap pop() {
+      const Lap out = buf_[head_];
+      head_ = (head_ + 1) & mask_;
+      --size_;
+      return out;
+    }
+    void insert(const Lap& lap);
+
+   private:
+    std::vector<Lap> buf_;  ///< ring of mask_ + 1 (a power of two) entries
+    std::size_t mask_ = 0;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+  /// The real arrival event of a copy back from channel `eport`.
+  void schedule_arrival(sim::TimeNs at, net::PacketPtr pkt, std::uint16_t eport);
+  /// Whether a copy arriving at `lap.key.at` may be parked (fast path
+  /// bound, no fault hook, not ahead of the armed event).
+  bool parks(const Lap& lap) const;
+  /// Park `lap` (copy already in its slot) as an arrival at `lap.key.at`,
+  /// reserving its seq now, as schedule_arrival would have.
+  void park(const Lap& lap);
+  std::uint32_t park_slot(net::PacketPtr pkt);
+  net::PacketPtr unpark_slot(std::uint32_t slot);
+  /// The queue holding the earliest parked key, or nullptr.
+  LapQueue* next_lap();
+  void arm_laps();
+  /// The armed event: replay parked events in key order.
+  void run_laps();
+  void replay_arrival(Lap lap);
+  void replay_egress(Lap lap);
 
   struct RecircChannel {
     double busy_until = 0.0;
     std::uint64_t loops = 0;
+    LapQueue parked;  ///< copies parked on their way back to ingress
   };
   bool recirc_admin_up_ = true;
   std::uint64_t recirc_admin_drops_ = 0;
@@ -172,6 +243,10 @@ class SwitchAsic {
 
   sim::EventQueue& ev_;
   AsicConfig cfg_;
+  /// Ingress latency plus the TM's unicast service time, and the egress
+  /// latency, rounded once to event-time ns.
+  sim::TimeNs unicast_delay_ns_;
+  sim::TimeNs egress_delay_ns_;
   // Declared before ports/pipelines so the registry outlives every
   // component that holds histogram pointers into it.
   telemetry::MetricsRegistry metrics_;
@@ -201,6 +276,14 @@ class SwitchAsic {
   std::uint64_t recirculations_ = 0;
   std::uint64_t replicas_ = 0;
   std::uint64_t injected_drops_ = 0;
+
+  LapQueue lap_egresses_;
+  std::vector<net::PacketPtr> parked_pkts_;
+  std::vector<std::uint32_t> free_slots_;
+  bool laps_armed_ = false;
+  bool laps_running_ = false;
+  sim::TimeNs armed_at_ = 0;
+  std::uint64_t elided_laps_ = 0;
 };
 
 }  // namespace ht::rmt

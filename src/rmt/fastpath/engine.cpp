@@ -40,6 +40,7 @@ void Engine::bind(SwitchAsic& asic, htps::Sender& sender, htpr::Receiver& receiv
 void Engine::bind_template(std::uint32_t tid, const TemplateFusion& verdict) {
   TemplateState& ts = tmpl_[tid];
   ts.blockers = verdict.blockers;
+  ts.loop_port = sender_->recirc_port_of(tid);
   const htps::TemplateConfig& cfg = sender_->config(tid);
 
   // Slot table: parse the template prototype once with the task's real
@@ -256,6 +257,30 @@ bool Engine::try_egress(const net::PacketPtr& pkt, std::uint16_t egress_port,
     for (const CsumPatch& p : ts.patches) bytes[p.offset] = p.value;
   }
   ++fused_pkts_;
+  return true;
+}
+
+bool Engine::lap_idle(std::uint32_t tid, sim::TimeNs now) const {
+  if (tid >= tmpl_.size()) return false;
+  const TemplateState& ts = tmpl_[tid];
+  return ts.fused && sender_->lap_idle(tid, now) &&
+         (ts.maintenance_tbl == nullptr || receiver_->maintenance_idle());
+}
+
+bool Engine::try_idle_lap(std::uint32_t tid, sim::TimeNs now, std::uint16_t& loop_port) {
+  if (!lap_idle(tid, now)) return false;
+  const TemplateState& ts = tmpl_[tid];
+  // try_ingress's bookkeeping with the bodies replaced by what they do on
+  // an idle lap: the replicator's SALU reads and, per store, one gated
+  // dequeue of an empty KV FIFO.
+  for (const auto& step : ts.ingress_prog.steps) step.table->count_apply(step.hit);
+  sender_->book_idle_lap(tid);
+  if (ts.maintenance_tbl != nullptr) {
+    ts.maintenance_tbl->count_apply(false);  // empty key, no entries: a miss
+    receiver_->book_idle_maintenance();
+  }
+  ++fused_pkts_;
+  loop_port = ts.loop_port;
   return true;
 }
 

@@ -188,6 +188,8 @@ class Engine final : public FastPathHooks {
   bool try_ingress(const net::PacketPtr& pkt, IntrinsicMeta& out) override;
   bool try_egress(const net::PacketPtr& pkt, std::uint16_t egress_port,
                   sim::TimeNs now) override;
+  bool lap_idle(std::uint32_t tid, sim::TimeNs now) const override;
+  bool try_idle_lap(std::uint32_t tid, sim::TimeNs now, std::uint16_t& loop_port) override;
 
  private:
   struct CsumPatch {
@@ -196,17 +198,21 @@ class Engine final : public FastPathHooks {
   };
 
   struct TemplateState {
+    // What an idle lap reads comes first, on one cache line: the lap
+    // skeleton tests and books laps at recirculation rate.
     bool fused = false;
+    /// The recirculation channel the template loops through.
+    std::uint16_t loop_port = 0;
+    /// Store-maintenance table (interpreted apply on a scratch context —
+    /// it only touches registers/FIFOs/digests); nullptr when absent.
+    MatchActionTable* maintenance_tbl = nullptr;
+    /// Recirculation-ingress program (the accelerator/replicator step).
+    FusedProgram<FastCtx> ingress_prog;
     std::vector<std::string> blockers;
     SlotTable slots;
     /// Backing store for FastCtx::scratch: zeroed at bind, kept all-zero
     /// between passes via the dirty list (see FastCtx::clear_scratch).
     std::array<std::uint64_t, net::kFieldCount> scratch{};
-    /// Recirculation-ingress program (the accelerator/replicator step).
-    FusedProgram<FastCtx> ingress_prog;
-    /// Store-maintenance table (interpreted apply on a scratch context —
-    /// it only touches registers/FIFOs/digests); nullptr when absent.
-    MatchActionTable* maintenance_tbl = nullptr;
     /// Front-port egress program (editor + sent queries).
     FusedProgram<FastCtx> egress_prog;
     /// True when some edit writes wire bytes — checksums must then be

@@ -31,6 +31,18 @@ class FastPathHooks {
   /// fused.
   virtual bool try_egress(const net::PacketPtr& pkt, std::uint16_t egress_port,
                           sim::TimeNs now) = 0;
+
+  /// Lap skeleton support (SwitchAsic, DESIGN.md §8). True when a copy of
+  /// template `tid` arriving back from its recirculation channel at `now`
+  /// would take an idle lap: its fused ingress pass would unicast it
+  /// straight back to the channel and write no register cell. Reads only.
+  virtual bool lap_idle(std::uint32_t tid, sim::TimeNs now) const = 0;
+
+  /// When lap_idle(tid, now): book everything that ingress pass counts
+  /// (table hits and misses, SALU executions, fused passes), set
+  /// `loop_port` to the channel it unicasts to and return true. Otherwise
+  /// change nothing and return false.
+  virtual bool try_idle_lap(std::uint32_t tid, sim::TimeNs now, std::uint16_t& loop_port) = 0;
 };
 
 }  // namespace ht::rmt

@@ -23,6 +23,9 @@ int find_set_bit(const std::array<std::uint64_t, Words>& bm, unsigned from) {
   }
 }
 
+/// Later than every real key: the head of an empty queue.
+constexpr EventQueue::Key kNone{~TimeNs{0}, ~std::uint64_t{0}};
+
 }  // namespace
 
 EventQueue::~EventQueue() { drop_pending(); }
@@ -50,6 +53,7 @@ void EventQueue::drop_pending() {
   }
   overflow_.clear();
   pending_ = 0;
+  head_valid_ = false;
 }
 
 EventQueue::Node* EventQueue::alloc_node() {
@@ -81,17 +85,48 @@ void EventQueue::free_node(Node* n) {
 
 void EventQueue::enqueue(Node* n) {
   ++pending_;
-  // A bucket currently draining at this exact timestamp: append in place.
-  // The new node's sequence is larger than every node already in the ready
-  // list, so FIFO order is preserved without a re-sort.
+  const Key key{n->at, n->seq};
+  if (head_valid_ && key < head_) head_ = key;
+  // A bucket currently draining at this exact timestamp: insert in place.
+  // A fresh sequence is larger than every node already in the ready list,
+  // so it appends; only a reserved key (schedule_at_key) can land inside.
   if (ready_head_ != nullptr && n->at == ready_tail_->at) {
-    n->next = nullptr;
-    ready_tail_->next = n;
-    ready_tail_ = n;
+    if (n->seq > ready_tail_->seq) {
+      n->next = nullptr;
+      ready_tail_->next = n;
+      ready_tail_ = n;
+      return;
+    }
+    Node** link = &ready_head_;
+    while ((*link)->seq < n->seq) link = &(*link)->next;
+    n->next = *link;
+    *link = n;
     return;
   }
   wheel_insert(n);
 }
+
+EventQueue::Key EventQueue::scan_head() const {
+  if (ready_head_ != nullptr) return {ready_head_->at, ready_head_->seq};
+  if (pending_ == 0) return kNone;
+  // take_next_bucket's level-0 search: a slot at or after the cursor holds
+  // events of exactly one timestamp, the earliest pending.
+  const TimeNs cursor = std::max(cursor_, now_);
+  const int s = find_set_bit(bits_[0], static_cast<unsigned>(cursor & (kSlots - 1)));
+  if (s < 0) {
+    // Every other pending event lies past the cursor's level-0 block:
+    // its end is a lower bound, found without cascading anything.
+    return {(cursor | TimeNs{kSlots - 1}) + 1, 0};
+  }
+  Key k = kNone;
+  for (const Node* n = wheel_[0][static_cast<std::size_t>(s)]; n != nullptr; n = n->next) {
+    const Key nk{n->at, n->seq};
+    if (nk < k) k = nk;
+  }
+  return k;
+}
+
+
 
 void EventQueue::wheel_insert(Node* n) {
   const TimeNs at = n->at;
@@ -204,17 +239,20 @@ void EventQueue::exec_front() {
   now_ = n->at;
   --pending_;
   ++executed_;
+  head_valid_ = false;
   n->invoke(*this, n);  // frees the node before running the callable
 }
 
 bool EventQueue::step() {
+  limit_ = {};  // exactly one event: nothing else may run inside it
   if (ready_head_ == nullptr && !take_next_bucket(~TimeNs{0})) return false;
   exec_front();
   return true;
 }
 
 std::uint64_t EventQueue::run_until(TimeNs deadline) {
-  std::uint64_t n = 0;
+  const std::uint64_t start = executed_;
+  limit_ = {deadline, ~std::uint64_t{0}};
   for (;;) {
     if (ready_head_ != nullptr) {
       // A bucket can survive a previous call that stopped mid-drain; honor
@@ -224,10 +262,9 @@ std::uint64_t EventQueue::run_until(TimeNs deadline) {
       break;
     }
     exec_front();
-    ++n;
   }
   if (now_ < deadline) now_ = deadline;
-  return n;
+  return executed_ - start;
 }
 
 std::uint64_t EventQueue::run_all() {

@@ -52,16 +52,58 @@ class EventQueue {
   std::size_t pending() const { return pending_; }
   std::uint64_t executed() const { return executed_; }
 
+  /// An event's position in the total execution order.
+  struct Key {
+    TimeNs at = 0;
+    std::uint64_t seq = 0;
+    bool operator<(const Key& o) const { return at != o.at ? at < o.at : seq < o.seq; }
+  };
+
   /// Schedule `fn` at absolute time `at` (>= now; earlier times are clamped
   /// to now so causality is never violated).
   template <typename F>
   void schedule_at(TimeNs at, F&& fn) {
     if (at < now_) at = now_;
+    schedule_at_key({at, next_seq_++}, std::forward<F>(fn));
+  }
+
+  // --- explicit keys -------------------------------------------------------
+  // A component that replays some of its events itself (the recirculation
+  // lap skeleton, rmt/asic.hpp) keeps each replayed event at the exact key
+  // its real schedule_at call would have given it: it reserves the sequence
+  // number when that call would have run, runs the event when the queue
+  // would have reached that key, and books it in executed().
+
+  /// Take the sequence number the next schedule_at call would have used.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+  /// Schedule `fn` at `key`, whose seq came from reserve_seq() and whose
+  /// time is >= now(); it runs exactly where an event scheduled with that
+  /// seq would have run.
+  template <typename F>
+  void schedule_at_key(Key key, F&& fn) {
     Node* n = alloc_node();
-    n->at = at;
-    n->seq = next_seq_++;
+    n->at = key.at;
+    n->seq = key.seq;
     bind(*n, std::forward<F>(fn));
     enqueue(n);
+  }
+  /// A key no later than the one the running run_until()/step() call
+  /// would execute next: the earliest pending event's when it lies in the
+  /// wheel's current 1024 ns block (else that block's end), capped at the
+  /// first key past the call's deadline (run_until) or at the current
+  /// event (step). Everything before it may run inside the current event.
+  Key peek_head() {
+    if (!head_valid_) {
+      head_ = scan_head();
+      head_valid_ = true;
+    }
+    return head_ < limit_ ? head_ : limit_;
+  }
+  /// Book one event that ran at `at` outside the queue: advances the clock
+  /// to `at` and counts it in executed().
+  void account_executed(TimeNs at) {
+    now_ = at;
+    ++executed_;
   }
   /// Schedule `fn` `delay` ns from now.
   template <typename F>
@@ -75,7 +117,7 @@ class EventQueue {
   /// the entry clock (the queue draining early still advances the clock all
   /// the way to the deadline); a deadline already in the past runs nothing
   /// and leaves now() unchanged — the clock never moves backward. Returns
-  /// the number of events executed.
+  /// the number of events executed (account_executed() ones included).
   std::uint64_t run_until(TimeNs deadline);
   /// Run everything (use with care: self-rescheduling components never
   /// drain; prefer run_until).
@@ -154,6 +196,8 @@ class EventQueue {
 
   Node* alloc_node();
   void free_node(Node* n);
+  /// peek_head's uncapped bound, found without moving any node.
+  Key scan_head() const;
   void enqueue(Node* n);
   void wheel_insert(Node* n);
   /// Move the earliest pending bucket (all nodes sharing the minimal
@@ -186,6 +230,13 @@ class EventQueue {
   Node* chunk_next_ = nullptr;        ///< bump pointer into the newest chunk
   std::size_t chunk_remaining_ = 0;
   SlabStats slab_stats_;
+
+  /// peek_head() cache: scan_head() while head_valid_. enqueue lowers
+  /// it; popping the head invalidates it.
+  Key head_{};
+  bool head_valid_ = false;
+  /// Keys at or past this one are beyond the running call's deadline.
+  Key limit_{};
 
   TimeNs now_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -307,6 +307,36 @@ TEST(Analysis, FilterInsideRangeHoleIsHT202) {
   EXPECT_TRUE(Compiler().compile(ok).analysis.diagnostics.empty());
 }
 
+TEST(Analysis, HT202TextNamesTheSupportItChecked) {
+  const auto ht202 = [](const ntapi::Task& task) {
+    for (const auto& d : Compiler().compile(task).analysis.diagnostics) {
+      if (d.code == "HT202") return analysis::format(d);
+    }
+    return std::string("no HT202");
+  };
+  // No trigger: the support is the field's whole 8-bit domain.
+  ntapi::Task free_field("ttl");
+  free_field.add_query(ntapi::Query().filter(FieldId::kIpv4Ttl, htpr::Cmp::kGt, 255));
+  EXPECT_EQ(ht202(free_field),
+            "HT202 warning query[0]: filter 'ipv4.ttl > 255' never matches: ipv4.ttl only "
+            "takes values in [0, 255]");
+  // A trigger that leaves the field unbound: the same domain text.
+  ntapi::Task unbound("unbound");
+  const auto u = unbound.add_trigger(ntapi::Trigger().set(FieldId::kIpv4Dip, 1));
+  unbound.add_query(ntapi::Query(u).filter(FieldId::kIpv4Ttl, htpr::Cmp::kGt, 255));
+  EXPECT_EQ(ht202(unbound),
+            "HT202 warning query[0]: filter 'ipv4.ttl > 255' never matches: ipv4.ttl only "
+            "takes values in [0, 255]");
+  // A trigger binding the field: its generated range.
+  ntapi::Task bound("bound");
+  const auto b = bound.add_trigger(
+      ntapi::Trigger().set(FieldId::kIpv4Dip, 1).set(FieldId::kIpv4Ttl, Value::range(10, 20, 1)));
+  bound.add_query(ntapi::Query(b).filter(FieldId::kIpv4Ttl, htpr::Cmp::kGt, 30));
+  EXPECT_EQ(ht202(bound),
+            "HT202 warning query[0]: filter 'ipv4.ttl > 30' never matches the monitored "
+            "trigger's traffic (ipv4.ttl is generated in [10, 20])");
+}
+
 // ---------------------------------------------------------------------------
 // HT204: shadowed rules (a filter that can never reject)
 

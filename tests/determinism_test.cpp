@@ -326,7 +326,7 @@ TEST(PacketPool, MetaFullyResetOnReuse) {
     p->meta().ingress_port = 7;
     p->meta().egress_port = 9;
     p->meta().template_id = 42;
-    p->meta().recirc_count = 3;
+    p->meta().replica_index = 3;
     p->meta().is_template = true;
     // Overflow the bridged-words inline buffer so the spill path is also
     // proven to reset.
@@ -338,7 +338,7 @@ TEST(PacketPool, MetaFullyResetOnReuse) {
   EXPECT_EQ(q->meta().ingress_port, fresh.ingress_port);
   EXPECT_EQ(q->meta().egress_port, fresh.egress_port);
   EXPECT_EQ(q->meta().template_id, fresh.template_id);
-  EXPECT_EQ(q->meta().recirc_count, fresh.recirc_count);
+  EXPECT_EQ(q->meta().replica_index, fresh.replica_index);
   EXPECT_EQ(q->meta().is_template, fresh.is_template);
   EXPECT_EQ(q->meta().bridged.size(), 0u);
   EXPECT_TRUE(q->meta().bridged == fresh.bridged);

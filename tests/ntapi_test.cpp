@@ -96,6 +96,39 @@ TEST(Validation, RejectsOversizedFieldValue) {
   EXPECT_NE(errors[0].message.find("exceeds width"), std::string::npos);
 }
 
+TEST(Validation, RandomValueIsCheckedAgainstItsEmittedBuckets) {
+  // random_normal(240, 4) emits inverse-transform buckets in [228, 252];
+  // its analytic tail (mean + 6 sigma = 264) is not on the wire.
+  const Value ok_ttl = Value::random_normal(240, 4);
+  std::vector<std::uint64_t> buckets;
+  ASSERT_TRUE(ok_ttl.enumerate(buckets, 1024));
+  EXPECT_GE(buckets.front(), 228u);
+  EXPECT_LE(buckets.back(), 252u);
+  Task task("ttl");
+  task.add_trigger(Trigger()
+                       .set({FieldId::kIpv4Dip, FieldId::kIpv4Proto},
+                            {0x0A000002, net::ipproto::kUdp})
+                       .set(FieldId::kIpv4Ttl, ok_ttl)
+                       .set(FieldId::kInterval, 1000)
+                       .set(FieldId::kPort, Value::array({0})));
+  EXPECT_TRUE(validate(task, {}).empty());
+  EXPECT_NO_THROW(Compiler().compile(task));
+
+  // Buckets past 255 are still rejected, with the usual message.
+  const Value bad_ttl = Value::random_normal(254, 4);
+  Task bad("ttl-bad");
+  bad.add_trigger(Trigger()
+                      .set({FieldId::kIpv4Dip, FieldId::kIpv4Proto},
+                           {0x0A000002, net::ipproto::kUdp})
+                      .set(FieldId::kIpv4Ttl, bad_ttl)
+                      .set(FieldId::kInterval, 1000)
+                      .set(FieldId::kPort, Value::array({0})));
+  const auto errors = validate(bad, {});
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].message,
+            "value " + bad_ttl.to_string() + " exceeds width of ipv4.ttl (max 255)");
+}
+
 TEST(Validation, RejectsOversizedFilterConstant) {
   // A filter constant is checked against the field width like a set
   // value; a result filter compares the reduce result and is exempt.

@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "core/hypertester.hpp"
 #include "core/supervisor.hpp"
 #include "dut/capture.hpp"
+#include "dut/stateful/workload_server.hpp"
 #include "sim/fault.hpp"
 #include "sim/random.hpp"
 #include "sim/snapshot.hpp"
@@ -382,6 +384,60 @@ TEST(CrashRecovery, GoldenKillRestoreByteIdenticalAcrossCatalogAndShards) {
       EXPECT_EQ(golden.prometheus, recovered.prometheus);
       EXPECT_EQ(golden, recovered);
     }
+  }
+}
+
+/// An L7 testbed: one tester running HTTP RPS, the WorkloadServer on the
+/// next shard (the same shard when there is one) behind a 500 ns link.
+/// Most recirculation laps are idle, so a crash lands while the lap
+/// skeleton holds parked copies.
+Testbed build_l7_testbed(std::size_t nshards) {
+  Testbed tb;
+  tb.cluster = std::make_unique<TesterCluster>(ClusterConfig{.shards = nshards, .seed = 0xd1ce});
+  TesterConfig cfg;
+  cfg.asic.num_ports = 2;
+  cfg.asic.num_recirc_channels = 3;
+  cfg.asic.seed = 5;
+  HyperTester& tester = tb.cluster->add_tester(cfg, 0);
+  const std::size_t server_shard = nshards > 1 ? 1 : 0;
+  dut::stateful::WorkloadConfig wcfg;
+  wcfg.num_ports = 1;
+  wcfg.tcb.capacity = 1 << 12;
+  wcfg.server_error_every = 3;
+  auto server = std::make_shared<dut::stateful::WorkloadServer>(
+      tb.cluster->shards().shard(server_shard).ev(), wcfg);
+  tb.cluster->shards().connect(tester.asic().port(1), 0, server->port(0), server_shard,
+                               /*propagation_ns=*/500);
+  server->start();
+  tester.load(apps::http_rps(0x0C0C0C0C, 80, 0x0B000000, 64, {1}, /*request_interval_ns=*/700,
+                             /*open_interval_ns=*/300)
+                  .task);
+  tester.start();
+  tb.active_tester = 0;
+  tb.keepalive = server;
+  return tb;
+}
+
+TEST(CrashRecovery, KillRestoreMidElisionOnL7TaskIsByteIdentical) {
+  for (const std::size_t nshards : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("shards=" + std::to_string(nshards));
+    const auto builder = [nshards](std::size_t) { return build_l7_testbed(nshards); };
+    const auto final_state = [](Testbed& tb) {
+      const auto& server = *std::static_pointer_cast<dut::stateful::WorkloadServer>(tb.keepalive);
+      return std::make_tuple(tb.cluster->tester(0).state_digest(), server.fingerprint(),
+                             tb.cluster->telemetry_report().prometheus,
+                             tb.cluster->tester(0).asic().elided_laps() > 0);
+    };
+    Supervisor clean(catalog_cfg(SupervisorConfig::Policy::kRestore, false), builder);
+    clean.run(kRunNs);
+    const auto golden = final_state(clean.testbed());
+    EXPECT_TRUE(std::get<3>(golden)) << "no lap was elided";
+
+    Supervisor crashed(catalog_cfg(SupervisorConfig::Policy::kRestore, true), builder);
+    const RecoveryReport& report = crashed.run(kRunNs);
+    EXPECT_TRUE(report.completed);
+    EXPECT_GE(report.recoveries, 1u);
+    EXPECT_EQ(golden, final_state(crashed.testbed()));
   }
 }
 
