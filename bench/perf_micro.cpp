@@ -28,6 +28,25 @@ void BM_ParsePacket(benchmark::State& state) {
 }
 BENCHMARK(BM_ParsePacket);
 
+// A parse followed by the reads an interpreted pass makes: the sender's
+// ingress port and template id, then the 5-tuple an editor or query keys on.
+void BM_ParseAndReadKeys(benchmark::State& state) {
+  const auto parser = rmt::Parser::default_graph();
+  auto pkt = net::make_packet(net::make_tcp_packet(1, 2, 3, 4, 0x10));
+  for (auto _ : state) {
+    const auto phv = parser.parse(pkt);
+    std::uint64_t keys = phv.get(net::FieldId::kMetaIngressPort);
+    keys += phv.get(net::FieldId::kMetaTemplateId);
+    keys += phv.get(net::FieldId::kIpv4Sip);
+    keys += phv.get(net::FieldId::kIpv4Dip);
+    keys += phv.get(net::FieldId::kIpv4Proto);
+    keys += phv.get(net::FieldId::kTcpSport);
+    keys += phv.get(net::FieldId::kTcpDport);
+    benchmark::DoNotOptimize(keys);
+  }
+}
+BENCHMARK(BM_ParseAndReadKeys);
+
 void BM_DeparseModified(benchmark::State& state) {
   const auto parser = rmt::Parser::default_graph();
   auto pkt = net::make_packet(net::make_tcp_packet(1, 2, 3, 4, 0x10));

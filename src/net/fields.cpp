@@ -78,10 +78,6 @@ static_assert(std::size(kInfos) == kFieldCount, "field table out of sync with Fi
 
 FieldRegistry::FieldRegistry() {
   infos_.assign(std::begin(kInfos), std::end(kInfos));
-  by_header_.resize(static_cast<std::size_t>(HeaderKind::kNone) + 1);
-  for (const auto& fi : infos_) {
-    by_header_[static_cast<std::size_t>(fi.header)].push_back(fi.id);
-  }
 }
 
 const FieldRegistry& FieldRegistry::instance() {
@@ -104,10 +100,6 @@ std::optional<FieldId> FieldRegistry::by_name(std::string_view name) const {
   const auto it = index.find(name);
   if (it == index.end()) return std::nullopt;
   return it->second;
-}
-
-std::span<const FieldId> FieldRegistry::fields_of(HeaderKind header) const {
-  return by_header_[static_cast<std::size_t>(header)];
 }
 
 std::uint64_t FieldRegistry::max_value(FieldId id) const { return low_mask(info(id).bit_width); }

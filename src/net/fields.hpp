@@ -11,7 +11,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -120,15 +119,12 @@ class FieldRegistry {
   const FieldInfo& info(FieldId id) const;
   /// Look up by dotted name; nullopt when unknown.
   std::optional<FieldId> by_name(std::string_view name) const;
-  /// All fields that live in `header`, in wire order.
-  std::span<const FieldId> fields_of(HeaderKind header) const;
   /// Maximum representable value of a field (all-ones of its width).
   std::uint64_t max_value(FieldId id) const;
 
  private:
   FieldRegistry();
   std::vector<FieldInfo> infos_;
-  std::vector<std::vector<FieldId>> by_header_;
 };
 
 /// Convenience accessors used pervasively.

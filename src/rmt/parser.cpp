@@ -75,17 +75,10 @@ void Parser::finalize() const {
     return it->second;
   };
   compiled_.reserve(ordered.size());
-  const auto& registry = net::FieldRegistry::instance();
   for (const ParseState* state : ordered) {
     CompiledState cs;
     cs.extract = state->extract;
-    if (state->extract) {
-      cs.extract_len = header_bytes(*state->extract);
-      for (const net::FieldId f : registry.fields_of(*state->extract)) {
-        const auto& fi = registry.info(f);
-        cs.fields.push_back(CompiledField{f, fi.bit_offset, fi.bit_width});
-      }
-    }
+    if (state->extract) cs.extract_len = header_bytes(*state->extract);
     cs.select = state->select;
     cs.default_next = resolve(state->default_next);
     for (const auto& [value, target] : state->transitions) {
@@ -108,7 +101,7 @@ Phv Parser::parse(const net::PacketPtr& pkt) const {
   phv.load(net::FieldId::kPktLen, pkt->size());
 
   if (dirty_) finalize();
-  const auto bytes = pkt->bytes();
+  const std::size_t size = pkt->size();
   std::size_t offset = 0;
   int state_index = compiled_entry_;
   while (state_index >= 0) {
@@ -116,12 +109,11 @@ Phv Parser::parse(const net::PacketPtr& pkt) const {
     if (state.extract) {
       const net::HeaderKind h = *state.extract;
       const std::size_t len = state.extract_len;
-      if (offset + len > bytes.size()) break;  // ran out of packet
+      if (offset + len > size) break;  // ran out of packet
+      // Extraction is bookkeeping only: the header's fields are read from
+      // the packet when a table, gateway or action asks (Phv::get).
       phv.header_offset[static_cast<std::size_t>(h)] = static_cast<int>(offset);
       phv.set_header_valid(h);
-      for (const CompiledField& f : state.fields) {
-        phv.load(f.id, net::read_bits(bytes, offset * 8 + f.bit_offset, f.bit_width));
-      }
       offset += len;
     }
     if (!state.select) break;  // accept

@@ -1,7 +1,10 @@
 // Programmable parser: a parse graph in the P4 sense.
 //
-// Each state optionally extracts one header (all of its registry fields)
-// and then selects the next state on a field value. The default graph
+// Each state optionally extracts one header and then selects the next
+// state on a field value. Extracting a header records its offset and
+// validity in the PHV; its fields stay in the packet bytes, where an
+// unwritten PHV container reads them on demand, and the deparser writes
+// back only the containers an action `set` (phv.hpp). The default graph
 // parses the canonical Ethernet/IPv4/{TCP,UDP,ICMP} stack, but tasks that
 // test new protocols can install their own graph — the "protocol
 // independence" the paper leans on (§2.3 "Testing new protocols").
@@ -42,7 +45,8 @@ class Parser {
   /// belongs to the PHV that stores the handle, not to the call.
   Phv parse(const net::PacketPtr& pkt) const;
 
-  /// Write all valid headers of `phv` back into its raw packet.
+  /// Write the containers an action `set` back into the raw packet, at
+  /// their headers' parse offsets (fields of unparsed headers are dropped).
   static void deparse(Phv& phv);
 
   /// Read-only view of the parse graph, for static analysis (the symbolic
@@ -54,18 +58,9 @@ class Parser {
   /// Resolve state names to indices once; parse() then runs index-only.
   void finalize() const;
 
-  /// Field extraction slot, flattened from the FieldRegistry at finalize()
-  /// so the per-packet loop never goes back through registry lookups.
-  struct CompiledField {
-    net::FieldId id;
-    std::uint16_t bit_offset;
-    std::uint16_t bit_width;
-  };
-
   struct CompiledState {
     std::optional<net::HeaderKind> extract;
-    std::size_t extract_len = 0;        ///< header size in bytes
-    std::vector<CompiledField> fields;  ///< wire fields of `extract`
+    std::size_t extract_len = 0;  ///< header size in bytes
     std::optional<net::FieldId> select;
     std::vector<std::pair<std::uint64_t, int>> transitions;  ///< -1 = accept
     int default_next = -1;

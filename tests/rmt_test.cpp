@@ -2,6 +2,9 @@
 // pipelines, traffic manager, recirculation, digests, resources.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "net/headers.hpp"
 #include "net/packet_builder.hpp"
 #include "rmt/asic.hpp"
@@ -56,6 +59,138 @@ TEST(Parser, CustomGraphUnknownEtherTypeAccepts) {
   const Phv phv = Parser::default_graph().parse(pkt);
   EXPECT_TRUE(phv.header_valid(net::HeaderKind::kEthernet));
   EXPECT_FALSE(phv.header_valid(net::HeaderKind::kIpv4));
+}
+
+// A frame whose every byte is nonzero and distinct-ish (so each field,
+// aligned or not, reads a nonzero value), steered by the given ethertype
+// and IPv4 protocol.
+net::PacketPtr patterned_frame(std::size_t size, std::uint64_t ethtype, std::uint64_t proto) {
+  auto pkt = net::make_packet(size);
+  auto bytes = pkt->bytes();
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  net::set_field(*pkt, FieldId::kEthType, ethtype);
+  if (size >= net::kEthernetBytes + net::kIpv4Bytes) {
+    net::set_field(*pkt, FieldId::kIpv4Proto, proto);
+  }
+  pkt->meta().ingress_port = 3;
+  pkt->meta().ingress_tstamp_ns = 123456789;
+  pkt->meta().template_id = 42;
+  return pkt;
+}
+
+// The value a parser that extracts every header field into the PHV would
+// hold: the field's bits at its header's parse offset when that header
+// parsed, 0 when it did not. `canonical` graphs place headers where
+// net::get_field expects them, so that helper serves as the independent
+// reference there.
+std::uint64_t eager_value(const Phv& phv, const net::Packet& pkt, FieldId f, bool canonical) {
+  const auto& fi = net::FieldRegistry::instance().info(f);
+  switch (f) {
+    case FieldId::kMetaIngressPort:
+      return pkt.meta().ingress_port;
+    case FieldId::kMetaIngressTstamp:
+      return pkt.meta().ingress_tstamp_ns;
+    case FieldId::kMetaTemplateId:
+      return pkt.meta().template_id;
+    case FieldId::kPktLen:
+      return pkt.size();
+    default:
+      break;
+  }
+  if (fi.header == net::HeaderKind::kNone || !phv.header_valid(fi.header)) return 0;
+  if (canonical) return net::get_field(pkt, f);
+  const int off = phv.header_offset[static_cast<std::size_t>(fi.header)];
+  return net::read_bits(pkt.bytes(), static_cast<std::size_t>(off) * 8 + fi.bit_offset,
+                        fi.bit_width);
+}
+
+// Checks every FieldId of one parse, then that `set` values win over the
+// packet bytes and that deparse writes back exactly the set wire fields.
+void expect_lazy_matches_eager(const Parser& parser, const net::PacketPtr& pkt, bool canonical,
+                               const std::string& what) {
+  SCOPED_TRACE(what);
+  const net::Packet before = *pkt;
+  Phv phv = parser.parse(pkt);
+  for (std::size_t i = 0; i < net::kFieldCount; ++i) {
+    const auto f = static_cast<FieldId>(i);
+    EXPECT_EQ(phv.get(f), eager_value(phv, before, f, canonical)) << net::field_name(f);
+  }
+  Parser::deparse(phv);
+  EXPECT_TRUE(std::ranges::equal(pkt->bytes(), before.bytes())) << "unmodified deparse";
+
+  // Write every header field (parsed or not) with a value past its width.
+  net::Packet want = before;
+  const auto& reg = net::FieldRegistry::instance();
+  for (std::size_t i = 0; i < net::kFieldCount; ++i) {
+    const auto f = static_cast<FieldId>(i);
+    const auto& fi = reg.info(f);
+    if (fi.header == net::HeaderKind::kNone) continue;
+    const std::uint64_t v = 0xA5A5A5A5A5A5A5A5ull ^ i;
+    phv.set(f, v);
+    EXPECT_EQ(phv.get(f), v & net::field_mask(f)) << net::field_name(f);
+    if (!phv.header_valid(fi.header)) continue;
+    const int off = phv.header_offset[static_cast<std::size_t>(fi.header)];
+    net::write_bits(want.bytes(), static_cast<std::size_t>(off) * 8 + fi.bit_offset, fi.bit_width,
+                    v & net::field_mask(f));
+  }
+  Parser::deparse(phv);
+  EXPECT_TRUE(std::ranges::equal(pkt->bytes(), want.bytes())) << "modified deparse";
+}
+
+TEST(Parser, LazyReadsEqualEagerExtraction) {
+  const Parser parser = Parser::default_graph();
+  const std::size_t l4_at = net::kEthernetBytes + net::kIpv4Bytes;
+  const struct {
+    const char* name;
+    std::uint64_t proto;
+    std::size_t l4_bytes;
+  } l4s[] = {{"tcp", net::ipproto::kTcp, net::kTcpBytes},
+             {"udp", net::ipproto::kUdp, net::kUdpBytes},
+             {"icmp", net::ipproto::kIcmp, net::kIcmpBytes},
+             {"nvp", net::ipproto::kNvp, net::kNvpBytes},
+             {"unknown-proto", 99, 0}};
+  for (const auto& l4 : l4s) {
+    expect_lazy_matches_eager(parser, patterned_frame(96, net::ethertype::kIpv4, l4.proto), true,
+                              l4.name);
+    if (l4.l4_bytes == 0) continue;
+    // Truncated one byte inside the L4 header: Ethernet and IPv4 parse.
+    expect_lazy_matches_eager(
+        parser, patterned_frame(l4_at + l4.l4_bytes - 1, net::ethertype::kIpv4, l4.proto), true,
+        std::string(l4.name) + " truncated in L4");
+  }
+  expect_lazy_matches_eager(parser, patterned_frame(96, 0x86DD, net::ipproto::kTcp), true,
+                            "non-IPv4 ethertype");
+  expect_lazy_matches_eager(parser, patterned_frame(l4_at - 1, net::ethertype::kIpv4, 0), true,
+                            "truncated in IPv4");
+  auto runt = net::make_packet(net::kEthernetBytes - 1, 0x5A);
+  expect_lazy_matches_eager(parser, runt, true, "truncated in Ethernet");
+
+  // A custom graph that puts headers off their canonical offsets:
+  // Ethernet, then NVP straight after it, then a UDP header inside NVP.
+  Parser custom;
+  custom.add_state({.name = "start",
+                    .extract = net::HeaderKind::kEthernet,
+                    .select = FieldId::kEthType,
+                    .transitions = {{0x88B5, "nvp"}},
+                    .default_next = ""});
+  custom.add_state({.name = "nvp",
+                    .extract = net::HeaderKind::kNvp,
+                    .select = FieldId::kNvpMsgType,
+                    .transitions = {{7, "inner_udp"}},
+                    .default_next = ""});
+  custom.add_state({.name = "inner_udp", .extract = net::HeaderKind::kUdp});
+  custom.set_entry("start");
+  auto framed = patterned_frame(64, 0x88B5, 0);
+  net::write_bits(framed->bytes(), net::kEthernetBytes * 8, 8, 7);  // nvp.msg_type
+  const Phv phv = custom.parse(framed);
+  EXPECT_EQ(phv.header_offset[static_cast<std::size_t>(net::HeaderKind::kNvp)], 14);
+  EXPECT_EQ(phv.header_offset[static_cast<std::size_t>(net::HeaderKind::kUdp)], 26);
+  expect_lazy_matches_eager(custom, framed, false, "custom graph");
+  auto other_type = patterned_frame(64, 0x88B5, 0);
+  net::write_bits(other_type->bytes(), net::kEthernetBytes * 8, 8, 8);
+  expect_lazy_matches_eager(custom, other_type, false, "custom graph, no inner udp");
 }
 
 TEST(HashUnit, DeterministicAndSeeded) {
