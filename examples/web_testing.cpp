@@ -5,23 +5,28 @@
 // extracted.
 //
 //   $ ./web_testing
+//
+// Exits nonzero when no page completed: the server answered no request,
+// or the tester closed no connection.
 #include <cstdio>
 
 #include "apps/tasks.hpp"
 #include "core/hypertester.hpp"
-#include "dut/tcp_server.hpp"
+#include "dut/stateful/workload_server.hpp"
 #include "net/packet_builder.hpp"
 
 int main() {
   using namespace ht;
 
   HyperTester tester;
-  // The device under test: a TCP server serving a 5-segment page on :80.
-  dut::TcpServer server(tester.events(), {.listen_port = 80,
-                                          .page_segments = 5,
-                                          .segment_bytes = 512,
-                                          .service_delay_ns = 2'000});
-  server.attach(tester.asic().port(1));
+  // The device under test: an HTTP server on :80 whose 6000-byte page goes
+  // out as five MSS-sized PSH+ACK segments.
+  dut::stateful::WorkloadConfig wcfg;
+  wcfg.response_bytes = 6000;
+  wcfg.tcb.capacity = 1 << 12;
+  dut::stateful::WorkloadServer server(tester.events(), wcfg);
+  server.attach(0, tester.asic().port(1));
+  server.start();
 
   // 100K new clients per second = one SYN every 10us (the paper's rate).
   auto app = apps::web_test(net::ipv4_address("5.5.5.5"), 80,
@@ -46,11 +51,10 @@ int main() {
               static_cast<unsigned long long>(server.handshakes_completed()));
   std::printf("requests served:      %llu\n",
               static_cast<unsigned long long>(server.requests_served()));
-  std::printf("data segments sent:   %llu\n",
-              static_cast<unsigned long long>(server.data_segments_sent()));
   std::printf("connections closed:   %llu\n",
               static_cast<unsigned long long>(server.connections_closed()));
 
+  const std::uint64_t pages = tester.trigger_fires(app.t_fin);
   std::printf("\n-- tester's view (queries, no connection state held) --\n");
   std::printf("answered connections (Q5, SYN+ACK count): %llu\n",
               static_cast<unsigned long long>(tester.query_matched(app.q_handshakes)));
@@ -60,7 +64,11 @@ int main() {
               static_cast<unsigned long long>(tester.trigger_fires(app.t_request)));
   std::printf("data-ACK trigger fired:       %llu\n",
               static_cast<unsigned long long>(tester.trigger_fires(app.t_data_ack)));
-  std::printf("FIN trigger fired:            %llu\n",
-              static_cast<unsigned long long>(tester.trigger_fires(app.t_fin)));
+  std::printf("FIN trigger fired:            %llu (pages completed)\n",
+              static_cast<unsigned long long>(pages));
+  if (server.requests_served() == 0 || pages == 0) {
+    std::fprintf(stderr, "web_testing: no page completed\n");
+    return 1;
+  }
   return 0;
 }

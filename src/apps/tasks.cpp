@@ -165,11 +165,12 @@ WebTest web_test(std::uint32_t server, std::uint16_t server_port, std::uint32_t 
           .set(FieldId::kTcpSeqNo, from_query(FieldId::kTcpAckNo))
           .set(FieldId::kTcpAckNo, from_query(FieldId::kTcpSeqNo, 1))
           .set(FieldId::kPort, port_list)
-          .payload("GET index.html"));
+          .payload("GET / HTTP/1.1\r\n\r\n"));
 
-  // Q2: data packets from the server (first few of the page) -> ACK them.
+  // Q2: data segments from the server (first few of the page) -> ACK them.
+  // The server marks every segment of a page PSH+ACK.
   app.q_data = app.task.add_query(Query()
-                                      .filter(FieldId::kTcpFlags, Cmp::kEq, flag::kAck)
+                                      .filter(FieldId::kTcpFlags, Cmp::kEq, flag::kPshAck)
                                       .filter(FieldId::kTcpSport, Cmp::kEq, server_port)
                                       .map({FieldId::kIpv4Dip, FieldId::kTcpDport})
                                       .reduce(Reduce::kCount)
@@ -189,7 +190,7 @@ WebTest web_test(std::uint32_t server, std::uint16_t server_port, std::uint32_t 
 
   // Q3: page complete (count reaches the threshold) -> close with FIN.
   app.q_data_done = app.task.add_query(Query()
-                                           .filter(FieldId::kTcpFlags, Cmp::kEq, flag::kAck)
+                                           .filter(FieldId::kTcpFlags, Cmp::kEq, flag::kPshAck)
                                            .filter(FieldId::kTcpSport, Cmp::kEq, server_port)
                                            .map({FieldId::kIpv4Dip, FieldId::kTcpDport})
                                            .reduce(Reduce::kCount)

@@ -74,6 +74,10 @@ SynFlood syn_flood(std::uint32_t victim, std::uint16_t victim_port,
 /// Web testing (§5.4, Table 4): emulates clients fetching a page — SYN,
 /// ACK, HTTP request, data ACKs, FIN — entirely with stateless
 /// connections. `new_clients_interval_ns` ~ 10us = 100K clients/s.
+/// Written against `dut::stateful::WorkloadServer`: T3 sends a complete
+/// HTTP/1.1 request, and Q2/Q3 count the page's PSH+ACK segments per
+/// client; a page of `data_packets_per_page` segments gets that many minus
+/// one data ACKs, then a FIN.
 struct WebTest {
   Task task;
   TriggerHandle t_syn, t_ack, t_request, t_data_ack, t_fin, t_fin_ack;

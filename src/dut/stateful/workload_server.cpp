@@ -13,6 +13,10 @@ using net::FieldId;
 
 namespace {
 
+/// Largest TCP payload per response segment: the 1500-byte Ethernet MTU
+/// minus the 20-byte IPv4 and 20-byte TCP headers.
+constexpr std::size_t kMss = 1460;
+
 /// Actual L4 payload of a canonical Eth/IPv4/<l4> packet. Frames below the
 /// 64-byte minimum are zero-padded on the wire, so the payload length must
 /// come from the IPv4 total length, not the buffer size.
@@ -128,7 +132,7 @@ void WorkloadServer::serve_payload(Tcb& tcb, const net::Packet& pkt,
   if (tcb.state != TcbState::kEstablished) return;
 
   // Established: incremental HTTP parse; pipelined requests in one segment
-  // are answered in one response segment.
+  // are answered in one response.
   std::string response;
   bool close = false;
   HttpParser::feed(tcb.http, payload, [&](const HttpRequest& req) {
@@ -153,8 +157,17 @@ void WorkloadServer::serve_payload(Tcb& tcb, const net::Packet& pkt,
   }
   const auto seq = static_cast<std::uint32_t>(
       net::get_field(pkt, FieldId::kTcpSeqNo));
-  reply_tcp(port_idx, pkt, flags, tcb.our_seq + 1,
-            seq + static_cast<std::uint32_t>(payload.size()), response);
+  const auto ack = seq + static_cast<std::uint32_t>(payload.size());
+  // A response longer than one MSS goes out as consecutive segments. Each
+  // carries PSH+ACK, so a page is one flags value to a tester's filter; a
+  // closing FIN rides on the last segment only.
+  const std::string_view wire(response);
+  for (std::size_t off = 0; off < wire.size(); off += kMss) {
+    const bool last = wire.size() - off <= kMss;
+    reply_tcp(port_idx, pkt, last ? flags : flag::kPshAck,
+              tcb.our_seq + 1 + static_cast<std::uint32_t>(off), ack,
+              wire.substr(off, kMss));
+  }
 }
 
 void WorkloadServer::on_tcp(const net::Packet& pkt, std::size_t port_idx) {

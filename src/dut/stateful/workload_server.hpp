@@ -1,9 +1,11 @@
 // Stateful L4–L7 workload server (DESIGN.md §15).
 //
-// The DUT end of the CPS/RPS scenario axis: a multi-port device that
-// terminates TCP against the million-connection TcbStore, parses HTTP/1.1
-// requests incrementally (keep-alive + pipelining), charges the abstract
-// TLS handshake cost on the TLS port, and answers DNS over UDP. All its
+// The DUT end of the CPS/RPS scenario axis and of the paper's web test
+// (§5.4): a multi-port device that terminates TCP against the
+// million-connection TcbStore, parses HTTP/1.1 requests incrementally
+// (keep-alive + pipelining), splits a response longer than one MSS into
+// PSH+ACK segments, charges the abstract TLS handshake cost on the TLS
+// port, and answers DNS over UDP. All its
 // ports feed one store, so a tester may fan a connection's packets across
 // any attached link. Every decision (ISNs, response status, DNS rcode) is
 // a deterministic function of the connection key and request count — never

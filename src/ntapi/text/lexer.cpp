@@ -64,6 +64,9 @@ std::vector<Token> lex(std::string_view src) {
             case 'n':
               text.push_back('\n');
               break;
+            case 'r':
+              text.push_back('\r');
+              break;
             case 't':
               text.push_back('\t');
               break;

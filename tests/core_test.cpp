@@ -11,7 +11,7 @@
 #include "dut/capture.hpp"
 #include "dut/forwarder.hpp"
 #include "dut/scan_targets.hpp"
-#include "dut/tcp_server.hpp"
+#include "dut/stateful/workload_server.hpp"
 #include "net/headers.hpp"
 #include "net/packet_builder.hpp"
 
@@ -189,11 +189,15 @@ TEST(HyperTester, StateBasedDelayTestMatchesPiggybackMode) {
 }
 
 TEST(HyperTester, WebTestDrivesFullHttpExchange) {
-  // The §5.4 walkthrough: stateless clients against a real TCP server.
+  // The §5.4 walkthrough: stateless clients against the HTTP server model,
+  // whose 6000-byte page goes out as five PSH+ACK segments.
   HyperTester tester(small_tester());
-  dut::TcpServer server(tester.events(),
-                        {.listen_port = 80, .page_segments = 5, .segment_bytes = 256});
-  server.attach(tester.asic().port(1));
+  dut::stateful::WorkloadConfig wcfg;
+  wcfg.response_bytes = 6000;
+  wcfg.tcb.capacity = 1 << 12;
+  dut::stateful::WorkloadServer server(tester.events(), wcfg);
+  server.attach(0, tester.asic().port(1));
+  server.start();
 
   auto app = apps::web_test(0x05050505, 80, 0x01010001, 256, {1}, 50'000, 5);
   tester.load(app.task);
@@ -208,6 +212,13 @@ TEST(HyperTester, WebTestDrivesFullHttpExchange) {
   EXPECT_EQ(tester.query_matched(app.q_handshakes), server.syns_received());
   // Handshakes the server completed match the ACK trigger's fires.
   EXPECT_LE(server.handshakes_completed(), tester.trigger_fires(app.t_ack));
+  // Every answered page but the one still in flight got 4 data ACKs and a
+  // FIN, and the server closed every FIN that reached it.
+  const std::uint64_t pages = tester.trigger_fires(app.t_fin);
+  EXPECT_LE(server.requests_served() - pages, 1u);
+  EXPECT_GE(tester.trigger_fires(app.t_data_ack), 4 * pages);
+  EXPECT_LE(tester.trigger_fires(app.t_data_ack), 4 * server.requests_served());
+  EXPECT_LE(pages - server.connections_closed(), 1u);
 }
 
 TEST(HyperTester, PortBandwidthGroupsByIngressPort) {

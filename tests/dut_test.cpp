@@ -1,10 +1,12 @@
-// Tests for the devices under test: forwarder, TCP server, scan targets.
+// Tests for the devices under test: forwarder, the HTTP server model as
+// the web test's server, scan targets.
 #include <gtest/gtest.h>
 
 #include "dut/capture.hpp"
 #include "dut/forwarder.hpp"
 #include "dut/scan_targets.hpp"
-#include "dut/tcp_server.hpp"
+#include "dut/stateful/http_model.hpp"
+#include "dut/stateful/workload_server.hpp"
 #include "net/headers.hpp"
 #include "net/packet_builder.hpp"
 
@@ -55,56 +57,127 @@ TEST(Forwarder, CustomRoutes) {
   EXPECT_EQ(d.count(), 1u);
 }
 
-TEST(TcpServer, CompletesHandshakeAndServesPage) {
-  sim::EventQueue ev;
-  TcpServer server(ev, {.listen_port = 80, .page_segments = 3, .segment_bytes = 100});
-  Capture client(ev, 10, 100.0);
-  client.attach(server.port());
+// --- WorkloadServer as the §5.4 web-test server ---------------------------
 
-  const std::uint32_t c = 0x01010101, s = 0x05050505;
-  client.port().send(
-      net::make_packet(net::make_tcp_packet(c, s, 1024, 80, flag::kSyn, 10)));
-  ev.run_until(sim::us(50));
-  ASSERT_EQ(client.count(), 1u);
-  const auto& synack = *client.packets()[0];
+constexpr std::uint32_t kClient = 0x01010101, kServer = 0x05050505;
+constexpr std::string_view kRequest = "GET / HTTP/1.1\r\n\r\n";
+
+net::PacketPtr client_segment(std::uint16_t sport, std::uint64_t flags, std::uint32_t seq,
+                              std::uint32_t ack = 0, std::string_view payload = {}) {
+  net::PacketBuilder b(net::HeaderKind::kTcp);
+  b.set(FieldId::kIpv4Sip, kClient);
+  b.set(FieldId::kIpv4Dip, kServer);
+  b.set(FieldId::kTcpSport, sport);
+  b.set(FieldId::kTcpDport, 80);
+  b.set(FieldId::kTcpFlags, flags);
+  b.set(FieldId::kTcpSeqNo, seq);
+  b.set(FieldId::kTcpAckNo, ack);
+  if (!payload.empty()) b.payload(payload);
+  return net::make_packet(b.build());
+}
+
+std::size_t tcp_payload_len(const net::Packet& pkt) {
+  return static_cast<std::size_t>(net::get_field(pkt, FieldId::kIpv4TotalLen)) - 40;
+}
+
+stateful::WorkloadConfig page_server(std::size_t response_bytes) {
+  stateful::WorkloadConfig cfg;
+  cfg.response_bytes = response_bytes;
+  cfg.tcb.capacity = 1 << 10;
+  cfg.tcb.hash_shards = 16;
+  return cfg;
+}
+
+/// SYN, handshake ACK and a request on `sport`; returns the server's ISN.
+std::uint32_t open_and_request(sim::EventQueue& ev, Capture& client, std::uint16_t sport,
+                               std::string_view request) {
+  const std::size_t before = client.count();
+  client.port().send(client_segment(sport, flag::kSyn, 10));
+  ev.run_until(ev.now() + sim::us(50));
+  EXPECT_EQ(client.count(), before + 1);
+  const auto& synack = *client.packets().back();
   EXPECT_EQ(net::get_field(synack, FieldId::kTcpFlags), flag::kSynAck);
   EXPECT_EQ(net::get_field(synack, FieldId::kTcpAckNo), 11u);
   EXPECT_TRUE(net::verify_checksums(synack));
-
-  // Complete the handshake, then request the page.
-  client.port().send(
-      net::make_packet(net::make_tcp_packet(c, s, 1024, 80, flag::kAck, 11)));
-  ev.run_until(sim::us(100));
-  EXPECT_EQ(server.handshakes_completed(), 1u);
-  client.port().send(net::make_packet(
-      net::make_tcp_packet(c, s, 1024, 80, flag::kPshAck, 11, 1, 80)));
-  ev.run_until(sim::us(200));
-  EXPECT_EQ(server.requests_served(), 1u);
-  // 3 data segments of 100B payload each arrived.
-  ASSERT_EQ(client.count(), 1u + 3u);
-  EXPECT_EQ(client.packets()[1]->size(), net::min_packet_size(net::HeaderKind::kTcp) + 100);
-
-  // Close.
-  client.port().send(
-      net::make_packet(net::make_tcp_packet(c, s, 1024, 80, flag::kFin, 12)));
-  ev.run_until(sim::us(300));
-  EXPECT_EQ(server.connections_closed(), 1u);
-  EXPECT_EQ(server.open_connections(), 0u);
-  EXPECT_EQ(net::get_field(*client.packets().back(), FieldId::kTcpFlags), flag::kFinAck);
+  const auto isn = static_cast<std::uint32_t>(net::get_field(synack, FieldId::kTcpSeqNo));
+  client.port().send(client_segment(sport, flag::kAck, 11, isn + 1));
+  client.port().send(client_segment(sport, flag::kPshAck, 11, isn + 1, request));
+  ev.run_until(ev.now() + sim::us(100));
+  return isn;
 }
 
-TEST(TcpServer, IgnoresWrongPortAndUnknownConnections) {
+TEST(WorkloadServer, ServesPageLongerThanOneMssAsContiguousPshSegments) {
   sim::EventQueue ev;
-  TcpServer server(ev, {.listen_port = 80});
+  stateful::WorkloadServer server(ev, page_server(3'000));
   Capture client(ev, 10, 100.0);
-  client.attach(server.port());
+  client.attach(server.port(0));
+
+  const std::uint32_t isn = open_and_request(ev, client, 1024, kRequest);
+  EXPECT_EQ(server.handshakes_completed(), 1u);
+  EXPECT_EQ(server.requests_served(), 1u);
+
+  // Head plus 3000-byte body: 1460 + 1460 + the rest.
+  const std::size_t response = stateful::http_response(200, 3'000, true).size();
+  ASSERT_EQ(client.count(), 1u + 3u);
+  std::size_t offset = 0;
+  for (std::size_t i = 1; i < client.count(); ++i) {
+    SCOPED_TRACE(i);
+    const auto& seg = *client.packets()[i];
+    EXPECT_EQ(net::get_field(seg, FieldId::kTcpFlags), flag::kPshAck);
+    EXPECT_EQ(net::get_field(seg, FieldId::kTcpSeqNo),
+              static_cast<std::uint32_t>(isn + 1 + offset));
+    EXPECT_EQ(net::get_field(seg, FieldId::kTcpAckNo), 11u + kRequest.size());
+    EXPECT_TRUE(net::verify_checksums(seg));
+    EXPECT_LE(tcp_payload_len(seg), 1460u);
+    offset += tcp_payload_len(seg);
+  }
+  EXPECT_EQ(tcp_payload_len(*client.packets()[1]), 1460u);
+  EXPECT_EQ(offset, response);
+}
+
+TEST(WorkloadServer, ClosesOnClientFinAndFinsOnlyTheLastSegment) {
+  sim::EventQueue ev;
+  stateful::WorkloadServer server(ev, page_server(3'000));
+  Capture client(ev, 10, 100.0);
+  client.attach(server.port(0));
+
+  // Client-initiated close: FIN -> FIN+ACK, the TCB is gone.
+  const std::uint32_t isn = open_and_request(ev, client, 1024, kRequest);
+  client.port().send(client_segment(1024, flag::kFin, 11 + kRequest.size(), isn + 1));
+  ev.run_until(ev.now() + sim::us(100));
+  EXPECT_EQ(server.connections_closed(), 1u);
+  EXPECT_EQ(server.tcb().size(), 0u);
+  const auto& finack = *client.packets().back();
+  EXPECT_EQ(net::get_field(finack, FieldId::kTcpFlags), flag::kFinAck);
+  EXPECT_EQ(net::get_field(finack, FieldId::kTcpSeqNo), isn + 1);
+
+  // Server-initiated close: a `Connection: close` request gets its page
+  // with FIN on the last segment only.
+  const std::size_t before = client.count();
+  open_and_request(ev, client, 1025, "GET / HTTP/1.1\r\nConnection: close\r\n\r\n");
+  ASSERT_EQ(client.count(), before + 1 + 3);
+  for (std::size_t i = before + 1; i + 1 < client.count(); ++i) {
+    EXPECT_EQ(net::get_field(*client.packets()[i], FieldId::kTcpFlags), flag::kPshAck) << i;
+  }
+  EXPECT_EQ(net::get_field(*client.packets().back(), FieldId::kTcpFlags),
+            flag::kPshAck | flag::kFin);
+}
+
+TEST(WorkloadServer, IgnoresWrongPortAndUnknownConnections) {
+  sim::EventQueue ev;
+  stateful::WorkloadServer server(ev, page_server(64));
+  Capture client(ev, 10, 100.0);
+  client.attach(server.port(0));
   client.port().send(
-      net::make_packet(net::make_tcp_packet(1, 2, 1024, 8080, flag::kSyn)));
-  client.port().send(
-      net::make_packet(net::make_tcp_packet(1, 2, 1024, 80, flag::kAck)));
+      net::make_packet(net::make_tcp_packet(kClient, kServer, 1024, 8080, flag::kSyn)));
+  client.port().send(client_segment(1024, flag::kAck, 1));
+  client.port().send(client_segment(1025, flag::kPshAck, 1, 1, kRequest));
+  client.port().send(client_segment(1026, flag::kFin, 1));
   ev.run_until(sim::us(100));
   EXPECT_EQ(client.count(), 0u);
   EXPECT_EQ(server.syns_received(), 0u);
+  EXPECT_EQ(server.requests_served(), 0u);
+  EXPECT_EQ(server.tcb().size(), 0u);
 }
 
 TEST(ScanTargets, LivenessIsDeterministicAndFractional) {

@@ -1,7 +1,8 @@
 // L4-L7 stateful workload engine (DESIGN.md sec. 15): TCB store probe
 // mechanics, SYN cookies, idle eviction, the incremental HTTP parser, the
-// stateful server end to end behind the compiled tester, auto-placement,
-// and shard-count determinism of the CPS scenario.
+// stateful server end to end behind the compiled tester (the §5.4 web
+// test included), auto-placement, and shard-count determinism of the CPS
+// scenario.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -360,6 +361,58 @@ TEST(WorkloadServer, DnsRcodeSplit) {
   EXPECT_GT(nx.value_or(0), 0u);
   EXPECT_LE(nx.value_or(0), server.dns_nxdomain());
   EXPECT_GE(nx.value_or(0) + 8, server.dns_nxdomain());
+}
+
+// --- the §5.4 web test against the same server ----------------------------
+
+struct WebRun {
+  std::uint64_t server_fingerprint = 0;
+  std::vector<std::uint64_t> server_counters;
+  std::vector<std::uint64_t> trigger_fires;
+};
+
+WebRun run_web_test(bool fastpath) {
+  TesterConfig cfg;
+  cfg.fastpath = fastpath;
+  HyperTester tester(cfg);
+  WorkloadConfig wcfg;
+  wcfg.response_bytes = 6000;  // a 5-segment page
+  wcfg.tcb.capacity = 1 << 12;
+  WorkloadServer server(tester.events(), wcfg);
+  server.attach(0, tester.asic().port(1));
+  server.start();
+
+  auto app = apps::web_test(0x05050505, 80, 0x01010001, 256, {1}, 10'000, 5);
+  tester.load(app.task);
+  tester.start();
+  tester.run_for(sim::ms(5));
+
+  if (fastpath) {
+    // The comparison is fused against interpreted only if the fast path
+    // really ran.
+    const std::string prom = tester.telemetry_report().prometheus;
+    EXPECT_NE(prom.find("ht_fastpath_fused_tasks_total 1"), std::string::npos);
+    EXPECT_EQ(prom.find("ht_fastpath_fused_pkts_total 0\n"), std::string::npos);
+  }
+  WebRun r;
+  r.server_fingerprint = server.fingerprint();
+  r.server_counters = {server.syns_received(),   server.handshakes_completed(),
+                       server.requests_served(), server.responses_2xx(),
+                       server.connections_closed(), server.tcb().size()};
+  for (const auto t : {app.t_syn, app.t_ack, app.t_request, app.t_data_ack, app.t_fin,
+                       app.t_fin_ack}) {
+    r.trigger_fires.push_back(tester.trigger_fires(t));
+  }
+  return r;
+}
+
+TEST(WorkloadServer, WebTestFusedMatchesInterpreted) {
+  const WebRun fused = run_web_test(/*fastpath=*/true);
+  const WebRun interp = run_web_test(/*fastpath=*/false);
+  ASSERT_GT(fused.trigger_fires[4], 100u) << "no page completed";
+  EXPECT_EQ(fused.server_fingerprint, interp.server_fingerprint);
+  EXPECT_EQ(fused.server_counters, interp.server_counters);
+  EXPECT_EQ(fused.trigger_fires, interp.trigger_fires);
 }
 
 // --- shard-count determinism ---------------------------------------------
