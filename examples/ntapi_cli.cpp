@@ -19,7 +19,7 @@
 // facts (host numbers from the tester's ShardGroup and ASIC, never part of
 // the registry or a digest), and dumps the tester's metrics registry — Prometheus exposition
 // text by default, compact JSON with --json. The registry carries every
-// drop counter and the controller's retry/backoff counters. With
+// drop counter, the controller's lost-RPC count among them. With
 // `--trace out.json` it also records the run's tracing spans and writes a
 // Chrome trace_event file loadable in https://ui.perfetto.dev (task
 // annotations, pipeline walks, per-port TX, recirculation loops).

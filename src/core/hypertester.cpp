@@ -275,8 +275,8 @@ void HyperTester::reboot_switch() {
 
 void HyperTester::partition_controller(sim::TimeNs duration) {
   ++crash_events_;
-  controller_.set_rpc_loss(1.0, 0xdeadu);
-  ev_.schedule_in(duration, [this] { controller_.set_rpc_loss(0.0, 0xdeadu); });
+  controller_.set_partitioned(true);
+  ev_.schedule_in(duration, [this] { controller_.set_partitioned(false); });
 }
 
 void HyperTester::stall(sim::TimeNs duration) {

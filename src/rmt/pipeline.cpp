@@ -58,13 +58,4 @@ void Pipeline::register_metrics(telemetry::MetricsRegistry& reg) const {
   }
 }
 
-ResourceUsage Pipeline::estimate_resources() const {
-  ResourceUsage u;
-  for (const auto& node : nodes_) {
-    u += node.table->estimate_resources();
-    if (node.gate) u.gateway += 1.0;
-  }
-  return u;
-}
-
 }  // namespace ht::rmt

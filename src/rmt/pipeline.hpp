@@ -93,8 +93,6 @@ class Pipeline {
   std::size_t table_count() const { return nodes_.size(); }
   const std::string& name() const { return name_; }
 
-  ResourceUsage estimate_resources() const;
-
   /// Mirror per-table hit/miss counters and stage occupancy into `reg`
   /// (labels: pipe/table/stage). Call after place(); the mirrors sample the
   /// live tables, so the program must stay installed for the registry's

@@ -124,26 +124,4 @@ bool MatchActionTable::apply(ActionContext& ctx) {
   return false;
 }
 
-ResourceUsage MatchActionTable::estimate_resources() const {
-  ResourceUsage u;
-  double key_bits = 0;
-  bool any_tcam = false;
-  for (const MatchSpec& s : key_) {
-    key_bits += net::field_width(s.field);
-    any_tcam |= s.kind != MatchKind::kExact;
-  }
-  u.match_crossbar_bits = key_bits;
-  // Entry storage: key bits + ~32 bits of action data/overhead per entry.
-  const double entry_bits = key_bits + 32.0;
-  const double table_kb = static_cast<double>(size_hint_) * entry_bits / 8.0 / 1024.0;
-  if (any_tcam) {
-    u.tcam_kb = table_kb;
-  } else {
-    u.sram_kb = table_kb;
-    u.hash_bits = key_bits;  // exact tables hash their key for indexing
-  }
-  u.vliw_slots = 2.0;  // typical compiled action footprint
-  return u;
-}
-
 }  // namespace ht::rmt

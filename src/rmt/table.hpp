@@ -16,7 +16,6 @@
 #include "net/fields.hpp"
 #include "rmt/phv.hpp"
 #include "rmt/registers.hpp"
-#include "rmt/resources.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -111,9 +110,6 @@ class MatchActionTable {
 
   void set_hints(TableHints hints) { hints_ = hints; }
   const TableHints& hints() const { return hints_; }
-
-  /// Structural resource estimate for Table 7-style accounting.
-  ResourceUsage estimate_resources() const;
 
  private:
   bool entry_matches(const TableEntry& e, const Phv& phv) const;

@@ -8,18 +8,9 @@ Controller::Controller(rmt::SwitchAsic& asic) : asic_(asic) {
   asic_.digests().set_receiver([this](const rmt::DigestMessage& msg) { on_digest(msg); });
 }
 
-std::uint64_t Controller::read_counter(const std::string& reg, std::size_t index) {
-  return asic_.registers().get(reg).read(index);
-}
-
-void Controller::set_rpc_loss(double rate, std::uint64_t seed) {
-  rpc_loss_rate_ = rate;
-  rpc_rng_ = sim::Rng(seed);
-}
-
 void Controller::read_counters(const std::string& reg, bool batched,
                                std::function<void(std::vector<std::uint64_t>)> done) {
-  if (rpc_loss_rate_ > 0.0 && rpc_rng_.bernoulli(rpc_loss_rate_)) {
+  if (partitioned_) {
     ++rpc_lost_;  // the RPC vanishes: `done` never fires
     return;
   }

@@ -41,12 +41,9 @@ class Controller {
   rmt::SwitchAsic& asic() { return asic_; }
 
   // --- pull mode -----------------------------------------------------------
-  /// Read one counter synchronously (advances no simulated time; the cost
-  /// is returned so callers — and Fig 16b — can account for it).
-  std::uint64_t read_counter(const std::string& reg, std::size_t index);
-
-  /// Read a whole register array. `batched` selects the bulk API. The
-  /// result is delivered through `done` after the modeled latency.
+  /// Read a whole register array. `batched` selects the bulk API, otherwise
+  /// every counter pays one RPC. The result is delivered through `done`
+  /// after the modeled latency (Fig 16b).
   void read_counters(const std::string& reg, bool batched,
                      std::function<void(std::vector<std::uint64_t>)> done);
 
@@ -66,11 +63,11 @@ class Controller {
   void subscribe(std::uint32_t type, std::function<void(const rmt::DigestMessage&)> fn);
 
   // --- fault injection -------------------------------------------------------
-  /// Drop control-plane read RPCs with probability `rate`: the `done`
-  /// callback of an affected read_counters() call simply never fires,
-  /// modeling a lost/hung RPC over PCIe. Deterministic for a given seed.
-  void set_rpc_loss(double rate, std::uint64_t seed);
-  /// Read RPCs swallowed by the injected loss.
+  /// Cut the switch CPU off from the ASIC's counter API: while partitioned,
+  /// the `done` callback of a read_counters() call never fires, modeling a
+  /// hung RPC over PCIe (HyperTester::partition_controller).
+  void set_partitioned(bool partitioned) { partitioned_ = partitioned; }
+  /// Read RPCs swallowed by a partition.
   std::uint64_t rpc_lost() const { return rpc_lost_; }
 
   // --- telemetry -------------------------------------------------------------
@@ -85,8 +82,7 @@ class Controller {
 
   rmt::SwitchAsic& asic_;
   PullModel pull_model_;
-  double rpc_loss_rate_ = 0.0;
-  sim::Rng rpc_rng_{0};
+  bool partitioned_ = false;
   std::uint64_t rpc_lost_ = 0;
   std::unordered_map<std::uint32_t, std::vector<std::function<void(const rmt::DigestMessage&)>>>
       subscribers_;

@@ -1,6 +1,10 @@
 // Tests for the devices under test: forwarder, the HTTP server model as
-// the web test's server, scan targets.
+// the web test's server, scan targets, capture and its pcap dump.
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "dut/capture.hpp"
 #include "dut/forwarder.hpp"
@@ -256,6 +260,22 @@ TEST(Capture, RecordsAndClears) {
   EXPECT_EQ(b.bytes(), 99u);
   b.clear();
   EXPECT_EQ(b.count(), 0u);
+}
+
+TEST(CaptureDump, WritesInspectablePcap) {
+  sim::EventQueue ev;
+  Capture a(ev, 0, 100.0), b(ev, 1, 100.0);
+  a.port().connect(&b.port());
+  b.port().connect(&a.port());
+  for (int i = 0; i < 7; ++i) {
+    a.port().send(net::make_packet(net::make_udp_packet(1, 2, 3, 4, 100)));
+  }
+  ev.run_until(sim::us(100));
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ht_capture_dump.pcap").string();
+  EXPECT_EQ(b.dump_pcap(path), 7u);
+  EXPECT_EQ(std::filesystem::file_size(path), 24u + 7 * (16u + 100u));
+  std::remove(path.c_str());
 }
 
 }  // namespace

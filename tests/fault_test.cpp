@@ -2,14 +2,14 @@
 //
 // Covers the FaultInjector pathologies one by one on a raw wire, the
 // fault hooks threaded through the stack (Port FCS, ASIC ingress), the
-// control-plane retry/timeout machinery (Controller RPC loss,
-// PeriodicPoller backoff + FailureReport), the
-// registry's drop audit trail for chaos links, and Supervisor stall
-// detection when a link dies mid-task. Everything here is seeded: the
-// suite doubles as the injector's determinism contract.
+// controller partition that swallows control-plane reads, the registry's
+// drop audit trail for chaos links, and Supervisor stall detection when a
+// link dies mid-task. Everything here is seeded: the suite doubles as the
+// injector's determinism contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -28,7 +28,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/fault.hpp"
 #include "sim/port.hpp"
-#include "switchcpu/periodic_poller.hpp"
 #include "testutil.hpp"
 
 namespace ht {
@@ -241,19 +240,6 @@ TEST(FaultInjector, IdenticalSeedsProduceIdenticalRuns) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(RetryPolicy, BackoffIsCappedExponential) {
-  switchcpu::RetryPolicy p;
-  p.backoff_base_ns = 100;
-  p.backoff_cap_ns = 1'000;
-  EXPECT_EQ(p.backoff(0), 100u);
-  EXPECT_EQ(p.backoff(1), 200u);
-  EXPECT_EQ(p.backoff(2), 400u);
-  EXPECT_EQ(p.backoff(3), 800u);
-  EXPECT_EQ(p.backoff(4), 1'000u);   // capped
-  EXPECT_EQ(p.backoff(40), 1'000u);  // still capped
-  EXPECT_EQ(p.backoff(70), 1'000u);  // shift width guard
-}
-
 TEST(AsicFaults, IngressFaultHookDropsAndCounts) {
   rmt::AsicConfig cfg;
   cfg.num_ports = 2;
@@ -270,60 +256,47 @@ TEST(AsicFaults, IngressFaultHookDropsAndCounts) {
   EXPECT_EQ(it->second, 1u);
 }
 
-TEST(PollerRetry, TotalRpcLossExhaustsRetriesIntoFailureReport) {
-  rmt::AsicConfig acfg;
-  acfg.num_ports = 2;
-  test::AsicTestbed bed(acfg);
-  bed.asic.registers().create("ctr", 8, 64);
-  switchcpu::Controller ctl(bed.asic);
-  ctl.set_rpc_loss(1.0, 42);
-  switchcpu::PeriodicPoller poller(ctl, "ctr", sim::ms(5));
-  switchcpu::RetryPolicy policy;
-  policy.timeout_ns = sim::us(700);
-  policy.max_retries = 2;
-  policy.backoff_base_ns = sim::us(50);
-  policy.backoff_cap_ns = sim::us(200);
-  poller.set_retry_policy(policy);
-  unsigned reported = 0;
-  poller.on_failure = [&](const switchcpu::FailureReport& r) {
-    ++reported;
-    EXPECT_EQ(r.component, "PeriodicPoller");
-    EXPECT_EQ(r.attempts, 3u);  // 1 initial + 2 retries
-    EXPECT_GT(r.gave_up_ns, r.first_attempt_ns);
-    EXPECT_NE(switchcpu::format_failure(r).find("PeriodicPoller"), std::string::npos);
-  };
-  poller.start();
-  bed.ev.run_until(sim::ms(20));
-  poller.stop();
-  EXPECT_EQ(poller.sample_count(), 0u);  // every RPC was swallowed
-  EXPECT_GE(poller.failures(), 2u);
-  EXPECT_EQ(poller.failures(), reported);
-  EXPECT_EQ(poller.failure_reports().size(), reported);
-  EXPECT_EQ(poller.timeouts(), poller.retries() + poller.failures());
-  EXPECT_GT(ctl.rpc_lost(), 0u);
-}
+TEST(ControllerPartition, SwallowsReadsInWindowThenHeals) {
+  TesterConfig cfg;
+  cfg.asic.num_ports = 2;
+  HyperTester tester(cfg);
+  auto& ctr = tester.asic().registers().create("ctr", 8, 64);
+  for (std::size_t i = 0; i < ctr.size(); ++i) ctr.write(i, 3 * i + 1);
+  sim::CrashPlan plan;
+  plan.events.push_back({.kind = sim::CrashKind::kControllerPartition,
+                         .at_ns = sim::us(100),
+                         .duration_ns = sim::ms(1)});
+  tester.apply_crash_plan(plan);
 
-TEST(PollerRetry, PartialRpcLossRecoversViaRetries) {
-  rmt::AsicConfig acfg;
-  acfg.num_ports = 2;
-  test::AsicTestbed bed(acfg);
-  bed.asic.registers().create("ctr", 8, 64);
-  switchcpu::Controller ctl(bed.asic);
-  ctl.set_rpc_loss(0.5, 7);
-  switchcpu::PeriodicPoller poller(ctl, "ctr", sim::ms(5));
-  switchcpu::RetryPolicy policy;
-  policy.timeout_ns = sim::us(700);  // > batched latency for 8 entries
-  policy.max_retries = 6;
-  policy.backoff_base_ns = sim::us(50);
-  policy.backoff_cap_ns = sim::us(400);
-  poller.set_retry_policy(policy);
-  poller.start();
-  bed.ev.run_until(sim::ms(100));
-  poller.stop();
-  // Half the RPCs vanish, but retries keep the series alive.
-  EXPECT_GT(poller.sample_count(), 15u);
-  EXPECT_GT(poller.retries(), 0u);
-  EXPECT_EQ(poller.failures(), 0u);
+  // A read issued inside the window never calls back, not even long after
+  // the partition heals.
+  tester.run_for(sim::us(200));
+  bool lost_read_fired = false;
+  tester.controller().read_counters("ctr", /*batched=*/true,
+                                    [&](std::vector<std::uint64_t>) { lost_read_fired = true; });
+  tester.run_for(sim::ms(5));
+  EXPECT_FALSE(lost_read_fired);
+  EXPECT_EQ(tester.controller().rpc_lost(), 1u);
+  EXPECT_EQ(tester.metrics().counter_value("ht_controller_rpc_lost_total"), 1u);
+  const auto drops = tester.metrics().drop_counters();
+  EXPECT_NE(std::find(drops.begin(), drops.end(),
+                      std::pair<std::string, std::uint64_t>{"controller.rpc_lost", 1}),
+            drops.end());
+
+  // After the heal a read pays exactly the batched pull latency.
+  const sim::TimeNs issued = tester.events().now();
+  std::optional<sim::TimeNs> delivered_at;
+  std::vector<std::uint64_t> values;
+  tester.controller().read_counters("ctr", /*batched=*/true, [&](std::vector<std::uint64_t> v) {
+    delivered_at = tester.events().now();
+    values = std::move(v);
+  });
+  tester.run_for(sim::ms(1));
+  ASSERT_TRUE(delivered_at.has_value());
+  EXPECT_EQ(*delivered_at - issued,
+            static_cast<sim::TimeNs>(std::llround(switchcpu::PullModel{}.batched_ns(8))));
+  EXPECT_EQ(values, (std::vector<std::uint64_t>{1, 4, 7, 10, 13, 16, 19, 22}));
+  EXPECT_EQ(tester.controller().rpc_lost(), 1u);
 }
 
 /// Tester wired through a store-and-forward DUT: port 0 -> DUT -> port 1.

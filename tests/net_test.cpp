@@ -1,5 +1,5 @@
 // Unit tests for the net substrate: byte helpers, field registry, headers,
-// checksums, packet builder, five-tuples, pcap.
+// checksums, packet builder, pcap.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,7 +7,6 @@
 
 #include "net/bytes.hpp"
 #include "net/checksum.hpp"
-#include "net/five_tuple.hpp"
 #include "net/headers.hpp"
 #include "net/packet_builder.hpp"
 #include "net/pcap.hpp"
@@ -144,25 +143,6 @@ TEST(Ipv4Address, ParseAndFormat) {
   EXPECT_THROW(ipv4_address("1.2.3"), std::invalid_argument);
   EXPECT_THROW(ipv4_address("1.2.3.999"), std::invalid_argument);
   EXPECT_THROW(ipv4_address("1.2.3.4.5"), std::invalid_argument);
-}
-
-TEST(FiveTuple, ExtractAndReverse) {
-  const Packet pkt = make_tcp_packet(0x0A000001, 0x0A000002, 1000, 80, tcpflag::kSyn);
-  const FiveTuple t = FiveTuple::from_packet(pkt);
-  EXPECT_EQ(t.sip, 0x0A000001u);
-  EXPECT_EQ(t.dport, 80u);
-  EXPECT_EQ(t.proto, ipproto::kTcp);
-  const FiveTuple r = t.reversed();
-  EXPECT_EQ(r.sip, t.dip);
-  EXPECT_EQ(r.sport, t.dport);
-  EXPECT_EQ(r.reversed(), t);
-}
-
-TEST(FiveTuple, HashDistinguishes) {
-  const FiveTuple a{1, 2, 3, 4, 6};
-  const FiveTuple b{1, 2, 3, 5, 6};
-  EXPECT_NE(std::hash<FiveTuple>{}(a), std::hash<FiveTuple>{}(b));
-  EXPECT_EQ(std::hash<FiveTuple>{}(a), std::hash<FiveTuple>{}(FiveTuple{1, 2, 3, 4, 6}));
 }
 
 TEST(Packet, WireAndLineSizes) {

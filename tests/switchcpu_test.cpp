@@ -17,13 +17,6 @@ struct Fixture {
   Controller ctl;
 };
 
-TEST(Controller, ReadSingleCounter) {
-  Fixture f;
-  auto& reg = f.asic.registers().create("c", 8, 64);
-  reg.write(3, 42);
-  EXPECT_EQ(f.ctl.read_counter("c", 3), 42u);
-}
-
 TEST(Controller, BatchedPullIsFasterAndDeliversValues) {
   Fixture f;
   auto& reg = f.asic.registers().create("c", 4096, 64);
