@@ -72,6 +72,18 @@ void Receiver::install() {
     }
   }
 
+  delay_state_.assign(n, {});
+  for (std::size_t q = 0; q < n; ++q) {
+    const auto& ops = queries_[q].ops;
+    delay_state_[q].resize(ops.size(), nullptr);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const auto* map = std::get_if<MapOp>(&ops[i]);
+      if (map && map->state_index_field && rf.contains(map->state_register)) {
+        delay_state_[q][i] = &rf.get(map->state_register);
+      }
+    }
+  }
+
   // Response-class counters: one register array per classifying query,
   // sized rules+1 (the last cell is the implicit "other" class). Living in
   // the register file keeps them inside snapshots and the state digest.

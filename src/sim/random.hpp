@@ -5,15 +5,65 @@
 // are reproducible and tests can assert exact statistics.
 #pragma once
 
-#include <bit>
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <random>
-#include <sstream>
-#include <stdexcept>
 #include <string>
 
 namespace ht::sim {
+
+/// The 64-bit Mersenne Twister, word for word std::mt19937_64: the same
+/// seeding, recurrence, tempering and stream text (`<<` writes, and `>>`
+/// reads, exactly libstdc++'s 312 state words and position), so a state
+/// captured from either engine restores into the other. The refill selects
+/// the twist matrix with a mask instead of a branch on each word's low
+/// bit, which a branch predictor gets wrong half the time. Rng, a friend,
+/// reads the state words ahead of the position for its Gaussian block and
+/// moves the position past the words a popped pair used.
+class Rng;
+
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kWords = 312;
+
+  explicit Mt19937_64(result_type seed) {
+    x_[0] = seed;
+    for (std::size_t i = 1; i < kWords; ++i) {
+      x_[i] = 6364136223846793005ull * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+    }
+  }
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos_ >= kWords) refill();
+    return temper(x_[pos_++]);
+  }
+
+  friend std::ostream& operator<<(std::ostream& os, const Mt19937_64& e);
+  friend std::istream& operator>>(std::istream& is, Mt19937_64& e);
+
+ private:
+  friend class Rng;
+
+  static result_type temper(result_type z) {
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71d67fffeda60000ull;
+    z ^= (z << 37) & 0xfff7eee000000000ull;
+    return z ^ (z >> 43);
+  }
+  /// Regenerate all 312 state words and rewind the position to 0: what
+  /// the next draw does when the position has reached kWords.
+  void refill();
+
+  std::array<result_type, kWords> x_;
+  std::size_t pos_ = kWords;
+};
 
 class Rng {
  public:
@@ -50,69 +100,112 @@ class Rng {
     return Rng(stream_seed(run_seed, stream));
   }
 
-  std::uint64_t next_u64() { return engine_(); }
+  // Every draw other than gaussian() consumes engine words at the
+  // position, so it first drops the pending Gaussian block (see below).
+  std::uint64_t next_u64() {
+    drop_block();
+    return engine_();
+  }
   /// Uniform in [0, bound) — bound must be > 0.
   std::uint64_t uniform(std::uint64_t bound) {
+    drop_block();
     return std::uniform_int_distribution<std::uint64_t>(0, bound - 1)(engine_);
   }
   /// Uniform in [lo, hi] inclusive.
   std::uint64_t uniform_range(std::uint64_t lo, std::uint64_t hi) {
+    drop_block();
     return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
   }
   /// Uniform in [0, 1): the top 53 bits of one engine draw, scaled. One
   /// engine step per call, no distribution-object overhead — this is the
   /// innermost call of every stochastic hot path (MAC jitter, chaos).
-  double uniform01() { return static_cast<double>(engine_() >> 11) * 0x1.0p-53; }
+  double uniform01() {
+    drop_block();
+    return to_unit(engine_());
+  }
   /// Marsaglia polar with the spare value cached across calls: the
   /// rejection loop and the log/sqrt pair are paid once per *two* draws.
   /// (std::normal_distribution computes the same pair but a fresh
   /// distribution object per call would discard the spare.)
+  ///
+  /// The pairs come a block at a time: fill_block() runs the rejection
+  /// loop ahead over the words already in the engine's state, without
+  /// moving it, and each pair records the position the scalar loop would
+  /// have reached after accepting it. A pop moves the engine there, so
+  /// every draw and every state_string() equals the scalar loop's. A
+  /// block holds as many pairs as the current run of Gaussians has popped
+  /// (one to start), so a run that another draw cuts off wastes fewer
+  /// pairs than it used.
   double gaussian(double mean, double stddev) {
     if (has_spare_) {
       has_spare_ = false;
       return mean + stddev * spare_;
     }
-    double u, v, s;
-    do {
-      u = 2.0 * uniform01() - 1.0;
-      v = 2.0 * uniform01() - 1.0;
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double f = std::sqrt(-2.0 * std::log(s) / s);
-    spare_ = v * f;
+    if (block_left_ == 0 && !fill_block()) return scalar_pair(mean, stddev);
+    const std::size_t i = block_len_ - block_left_--;
+    engine_.pos_ = block_.end[i];
+    spare_ = block_.spare[i];
     has_spare_ = true;
-    return mean + stddev * u * f;
+    return mean + stddev * block_.u[i] * block_.f[i];
   }
   double exponential(double rate) {
+    drop_block();
     return std::exponential_distribution<double>(rate)(engine_);
   }
-  bool bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
-
-  std::mt19937_64& engine() { return engine_; }
+  bool bernoulli(double p) {
+    drop_block();
+    return std::bernoulli_distribution(p)(engine_);
+  }
 
   /// Full generator state (mt19937_64 state words + position + the cached
   /// Marsaglia spare) as a portable text record, for run-state snapshots
   /// (sim/snapshot.hpp). Round-trips exactly: after set_state_string the
-  /// next draws are identical to the captured generator's.
-  std::string state_string() const {
-    std::ostringstream os;
-    // The spare travels as its bit pattern: decimal formatting of a double
-    // would not round-trip it exactly.
-    os << engine_ << ' ' << has_spare_ << ' ' << std::bit_cast<std::uint64_t>(spare_);
-    return os.str();
-  }
-  void set_state_string(const std::string& s) {
-    std::istringstream is(s);
-    std::uint64_t spare_bits = 0;
-    is >> engine_ >> has_spare_ >> spare_bits;
-    if (!is) throw std::invalid_argument("sim::Rng: malformed state string");
-    spare_ = std::bit_cast<double>(spare_bits);
-  }
+  /// next draws are identical to the captured generator's. The Gaussian
+  /// block and its run count are not part of it: they set how many pairs
+  /// are computed ahead, never what a draw returns.
+  std::string state_string() const;
+  void set_state_string(const std::string& s);
 
  private:
-  std::mt19937_64 engine_;
+  /// Most pairs per Gaussian block; 64 accepted pairs take about 163
+  /// words, about half of the engine's 312.
+  static constexpr std::size_t kBlockPairs = 64;
+
+  static double to_unit(std::uint64_t w) { return static_cast<double>(w >> 11) * 0x1.0p-53; }
+
+  /// The scalar Marsaglia loop: one pair straight from the engine, the
+  /// path for a pair that straddles a refill.
+  double scalar_pair(double mean, double stddev);
+  /// Compute max(1, run_) pairs, at most kBlockPairs, from the words
+  /// between the engine's position and the end of its state, refilling
+  /// first only when the position is already at the end (the next word
+  /// drawn would refill anyway). False when no pair completes before the
+  /// end.
+  bool fill_block();
+  void drop_block() {
+    block_left_ = 0;
+    run_ = 0;
+  }
+
+  Mt19937_64 engine_;
   double spare_ = 0.0;
   bool has_spare_ = false;
+  /// Pairs of the block not yet popped; pair i of block_len_ is popped as
+  /// block_len_ - block_left_. Zero means no block is pending.
+  std::uint8_t block_left_ = 0;
+  std::uint8_t block_len_ = 0;
+  /// Pairs computed since the last other draw, capped at kBlockPairs. A
+  /// block is filled only when the previous one is used up, so every one
+  /// of them was popped.
+  std::uint8_t run_ = 0;
+  // u and f stay apart because the scalar loop returns
+  // `mean + stddev * u * f`, and a product u * f rounds differently.
+  struct Block {
+    double u[kBlockPairs];
+    double f[kBlockPairs];           ///< sqrt(-2 ln s / s)
+    double spare[kBlockPairs];       ///< v * f
+    std::uint16_t end[kBlockPairs];  ///< engine position after the pair
+  } block_{};
 };
 
 }  // namespace ht::sim
