@@ -24,7 +24,7 @@ RttResult measure_rtt(std::size_t pkt_len, std::uint64_t loops) {
   std::vector<std::uint64_t> arrivals;
   arrivals.reserve(loops);
   auto& t = asic.ingress().add_table("loop", {}, 4);
-  t.set_default("loop", [&](rmt::ActionContext& ctx) {
+  t.set_default([&](rmt::ActionContext& ctx) {
     if (ctx.phv.get(net::FieldId::kMetaIngressPort) != rmt::SwitchAsic::kCpuPort) {
       arrivals.push_back(ctx.now);
     }

@@ -37,7 +37,7 @@ DelayResult mcast_delay(std::size_t pkt_len, std::size_t nports, double port_rat
   // Odd ipv4.id -> unicast; even -> mcast. Record TM traversal times.
   std::vector<double> uni, mc;
   auto& ti = asic.ingress().add_table("steer", {}, 4);
-  ti.set_default("steer", [&](rmt::ActionContext& ctx) {
+  ti.set_default([&](rmt::ActionContext& ctx) {
     ctx.phv.set(net::FieldId::kTcpSeqNo, ctx.now);  // ingress-exit time
     if (ctx.phv.get(net::FieldId::kIpv4Id) % 2 == 0) {
       ctx.phv.intrinsic().dest = rmt::Destination::kMulticast;
@@ -48,7 +48,7 @@ DelayResult mcast_delay(std::size_t pkt_len, std::size_t nports, double port_rat
     }
   });
   auto& te = asic.egress().add_table("sample", {}, 4);
-  te.set_default("sample", [&](rmt::ActionContext& ctx) {
+  te.set_default([&](rmt::ActionContext& ctx) {
     const double d = static_cast<double>(ctx.now) -
                      static_cast<double>(ctx.phv.get(net::FieldId::kTcpSeqNo));
     if (ctx.phv.get(net::FieldId::kIpv4Id) % 2 == 0) {

@@ -68,10 +68,8 @@ void BM_ChecksumFix(benchmark::State& state) {
 BENCHMARK(BM_ChecksumFix)->Arg(64)->Arg(1500);
 
 void BM_ExactTableLookup(benchmark::State& state) {
-  rmt::MatchActionTable table("t", {{net::FieldId::kUdpDport, rmt::MatchKind::kExact}}, 4096);
-  for (std::uint64_t i = 0; i < 1024; ++i) {
-    table.add_entry({{rmt::KeyMatch{.value = i}}, 0, "a", nullptr});
-  }
+  rmt::MatchActionTable table("t", net::FieldId::kUdpDport, 4096);
+  for (std::uint64_t i = 0; i < 1024; ++i) table.add_entry(i, nullptr);
   const auto parser = rmt::Parser::default_graph();
   auto pkt = net::make_packet(net::make_udp_packet(1, 2, 3, 512));
   const auto phv = parser.parse(pkt);
@@ -117,7 +115,7 @@ void BM_RecirculationLoop(benchmark::State& state) {
   sim::EventQueue ev;
   rmt::SwitchAsic asic(ev, rmt::AsicConfig{.num_ports = 2});
   auto& t = asic.ingress().add_table("loop", {}, 4);
-  t.set_default("loop", [](rmt::ActionContext& ctx) {
+  t.set_default([](rmt::ActionContext& ctx) {
     ctx.phv.intrinsic().dest = rmt::Destination::kUnicast;
     ctx.phv.intrinsic().ucast_port = rmt::SwitchAsic::kRecircPortBase;
   });

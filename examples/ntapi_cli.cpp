@@ -53,8 +53,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -86,6 +86,41 @@ void wire_testbed(ht::HyperTester& tester, bool loopback,
   }
 }
 
+/// Read a whole file (a script or a snapshot); prints the CLI's "cannot
+/// open" message and returns nullopt when it cannot be read.
+std::optional<std::string> read_file(const char* path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::fprintf(stderr, "cannot open %s\n", path);
+    return std::nullopt;
+  }
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// The final result block of a run: every trigger's fire count, then every
+/// query's match count with its total or distinct-key count.
+void print_results(ht::HyperTester& tester, const ht::ntapi::text::ParsedProgram& prog) {
+  for (const auto& [name, handle] : prog.triggers) {
+    std::printf("trigger %-8s fired %llu times%s\n", name.c_str(),
+                static_cast<unsigned long long>(tester.trigger_fires(handle)),
+                tester.trigger_done(handle) ? " (complete)" : "");
+  }
+  for (const auto& [name, handle] : prog.queries) {
+    const auto* store = tester.receiver().store(handle.index);
+    if (store != nullptr) {
+      std::printf("query   %-8s matched %llu packets, %llu distinct keys\n", name.c_str(),
+                  static_cast<unsigned long long>(tester.query_matched(handle)),
+                  static_cast<unsigned long long>(tester.query_distinct(handle)));
+    } else {
+      std::printf("query   %-8s matched %llu packets, total %llu\n", name.c_str(),
+                  static_cast<unsigned long long>(tester.query_matched(handle)),
+                  static_cast<unsigned long long>(tester.query_total(handle)));
+    }
+  }
+}
+
 /// Serialize one CLI run: the inputs needed to rebuild it (script text and
 /// path — task names embed the path — run length, wiring) plus the engine
 /// and full tester state.
@@ -103,14 +138,9 @@ void serialize_cli_run(ht::HyperTester& tester, const std::string& script,
 
 int snapshot_script(const char* path, long run_ms, bool loopback, const char* out_path) {
   using namespace ht;
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string script = buffer.str();
+  const auto text = read_file(path);
+  if (!text) return 2;
+  const std::string& script = *text;
   try {
     auto prog = ntapi::text::parse_ntapi(script, path);
     HyperTester tester;
@@ -145,13 +175,9 @@ int snapshot_script(const char* path, long run_ms, bool loopback, const char* ou
 
 int resume_snapshot(const char* snap_path, long extra_ms) {
   using namespace ht;
-  std::ifstream in(snap_path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", snap_path);
-    return 2;
-  }
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+  const auto file = read_file(snap_path);
+  if (!file) return 2;
+  std::vector<std::uint8_t> bytes(file->begin(), file->end());
   try {
     sim::SnapshotReader reader(std::move(bytes));  // validates every checksum
     reader.open_section("cli.meta");
@@ -180,23 +206,7 @@ int resume_snapshot(const char* snap_path, long extra_ms) {
     std::printf("resumed +%ldms simulated (t=%lldns, %llu events)\n\n", extra_ms,
                 static_cast<long long>(tester.events().now()),
                 static_cast<unsigned long long>(tester.events().executed()));
-    for (const auto& [name, handle] : prog.triggers) {
-      std::printf("trigger %-8s fired %llu times%s\n", name.c_str(),
-                  static_cast<unsigned long long>(tester.trigger_fires(handle)),
-                  tester.trigger_done(handle) ? " (complete)" : "");
-    }
-    for (const auto& [name, handle] : prog.queries) {
-      const auto* store = tester.receiver().store(handle.index);
-      if (store != nullptr) {
-        std::printf("query   %-8s matched %llu packets, %llu distinct keys\n", name.c_str(),
-                    static_cast<unsigned long long>(tester.query_matched(handle)),
-                    static_cast<unsigned long long>(tester.query_distinct(handle)));
-      } else {
-        std::printf("query   %-8s matched %llu packets, total %llu\n", name.c_str(),
-                    static_cast<unsigned long long>(tester.query_matched(handle)),
-                    static_cast<unsigned long long>(tester.query_total(handle)));
-      }
-    }
+    print_results(tester, prog);
     return 0;
   } catch (const ht::sim::SnapshotError& e) {
     std::fprintf(stderr, "snapshot error: %s\n", e.what());
@@ -209,15 +219,10 @@ int resume_snapshot(const char* snap_path, long extra_ms) {
 
 int lint_script(const char* path) {
   using namespace ht;
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
+  const auto script = read_file(path);
+  if (!script) return 2;
   try {
-    const auto prog = ntapi::text::parse_ntapi(buffer.str(), path);
+    const auto prog = ntapi::text::parse_ntapi(*script, path);
     const auto report = ntapi::Compiler().lint(prog.task);
     for (const auto& d : report.diagnostics) {
       std::printf("%s\n", analysis::format(d).c_str());
@@ -237,15 +242,10 @@ int lint_script(const char* path) {
 
 int testgen_script(const char* path, const char* out_path) {
   using namespace ht;
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
+  const auto script = read_file(path);
+  if (!script) return 2;
   try {
-    const auto prog = ntapi::text::parse_ntapi(buffer.str(), path);
+    const auto prog = ntapi::text::parse_ntapi(*script, path);
     const rmt::AsicConfig asic;
     const auto compiled = ntapi::Compiler(asic).compile(prog.task);
     analysis::symx::TaskModel model(prog.task, compiled, asic);
@@ -374,29 +374,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
+  const auto script = read_file(path);
+  if (!script) return 2;
 
   try {
-    auto prog = ntapi::text::parse_ntapi(buffer.str(), path);
+    auto prog = ntapi::text::parse_ntapi(*script, path);
     HyperTester tester;
     std::vector<std::unique_ptr<dut::Capture>> sinks;
-    for (std::size_t p = 0; p < tester.asic().port_count(); ++p) {
-      if (loopback) {
-        tester.asic().port(static_cast<std::uint16_t>(p))
-            .connect(&tester.asic().port(static_cast<std::uint16_t>(p)));
-      } else {
-        sinks.push_back(std::make_unique<dut::Capture>(
-            tester.events(), static_cast<std::uint16_t>(1000 + p), 100.0));
-        sinks.back()->set_count_only(true);
-        sinks.back()->attach(tester.asic().port(static_cast<std::uint16_t>(p)));
-      }
-    }
+    wire_testbed(tester, loopback, sinks);
 
     // Trace recording must be on before load() so the compiled task's
     // annotation instants (trigger/query installs) land in the buffer.
@@ -446,23 +431,7 @@ int main(int argc, char** argv) {
     }
 
     std::putchar('\n');
-    for (const auto& [name, handle] : prog.triggers) {
-      std::printf("trigger %-8s fired %llu times%s\n", name.c_str(),
-                  static_cast<unsigned long long>(tester.trigger_fires(handle)),
-                  tester.trigger_done(handle) ? " (complete)" : "");
-    }
-    for (const auto& [name, handle] : prog.queries) {
-      const auto* store = tester.receiver().store(handle.index);
-      if (store != nullptr) {
-        std::printf("query   %-8s matched %llu packets, %llu distinct keys\n", name.c_str(),
-                    static_cast<unsigned long long>(tester.query_matched(handle)),
-                    static_cast<unsigned long long>(tester.query_distinct(handle)));
-      } else {
-        std::printf("query   %-8s matched %llu packets, total %llu\n", name.c_str(),
-                    static_cast<unsigned long long>(tester.query_matched(handle)),
-                    static_cast<unsigned long long>(tester.query_total(handle)));
-      }
-    }
+    print_results(tester, prog);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

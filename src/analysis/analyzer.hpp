@@ -107,9 +107,8 @@ class DeadEntryPass : public Pass {
   void run(const AnalysisInput& in, AnalysisReport& out) const override;
 };
 
-/// HT301/HT302/HT303: symbolic-walk coverage — queries with zero feasible
-/// matching paths, exact-key entries outside the enumerated key space,
-/// and parser states unreachable from the entry state.
+/// HT301/HT302: symbolic-walk coverage — queries with zero feasible
+/// matching paths, and exact-key entries outside the enumerated key space.
 class SymxCoveragePass : public Pass {
  public:
   std::string_view name() const override { return "symx-coverage"; }

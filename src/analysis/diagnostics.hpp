@@ -28,12 +28,11 @@
 //          earlier rule) or ambiguous (duplicate class name)
 //   HT301  symbolic walk found zero feasible matching paths for a query
 //   HT302  exact-key table entry outside the enumerated key space
-//   HT303  parser state unreachable from the entry state
 //
 // HT1xx are errors (compile() refuses the task); HT2xx/HT3xx are warnings
 // (carried through CompiledTask). HT201, HT202 and HT204 come from one
 // interval walk over each query's filters (DeadEntryPass, on the symx
-// solver); HT301-HT303 from the symbolic model (SymxCoveragePass).
+// solver); HT301 and HT302 from the symbolic model (SymxCoveragePass).
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,6 @@
 #include "analysis/symx/model.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "htpr/counter_store.hpp"
 #include "net/headers.hpp"
@@ -50,26 +49,6 @@ void parser_dfs(const rmt::Parser& parser, const std::string& name, ParserPath p
 std::vector<ParserPath> enumerate_parser_paths(const rmt::Parser& parser) {
   std::vector<ParserPath> out;
   parser_dfs(parser, parser.entry(), ParserPath{}, out, 0);
-  return out;
-}
-
-std::vector<std::string> unreachable_parser_states(const rmt::Parser& parser) {
-  const auto& states = parser.states();
-  std::set<std::string> seen;
-  std::vector<std::string> work{parser.entry()};
-  while (!work.empty()) {
-    const std::string name = std::move(work.back());
-    work.pop_back();
-    const auto it = states.find(name);
-    if (it == states.end() || !seen.insert(name).second) continue;
-    for (const auto& [value, next] : it->second.transitions) work.push_back(next);
-    work.push_back(it->second.default_next);
-  }
-  std::vector<std::string> out;
-  for (const auto& [name, st] : states) {
-    if (seen.count(name) == 0) out.push_back(name);
-  }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

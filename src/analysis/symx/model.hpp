@@ -5,8 +5,7 @@
 // The model is pure analysis — it never touches a live ASIC. It is shared
 // by the conformance oracle (src/analysis/symx/oracle.hpp), which turns
 // feasible paths into concrete packets, and by the symx lint pass
-// (HT301 dead queries, HT302 dead entries, HT303 unreachable parser
-// states).
+// (HT301 dead queries, HT302 dead entries).
 #pragma once
 
 #include <cstddef>
@@ -38,9 +37,6 @@ struct ParserPath {
 /// Enumerate every path from the entry state to accept (depth-capped; the
 /// canonical graphs are shallow DAGs).
 std::vector<ParserPath> enumerate_parser_paths(const rmt::Parser& parser);
-
-/// States no walk from the entry can reach (HT303).
-std::vector<std::string> unreachable_parser_states(const rmt::Parser& parser);
 
 // --- edit streams ------------------------------------------------------------
 

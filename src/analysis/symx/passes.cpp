@@ -1,4 +1,4 @@
-// The symx-backed lint pass (HT301/302/303). It runs inside the default
+// The symx-backed lint pass (HT301/302). It runs inside the default
 // analyzer, so every ntapi::Compiler::compile carries its findings;
 // `ntapi_cli lint` surfaces them as warnings.
 #include <string>
@@ -6,7 +6,6 @@
 
 #include "analysis/analyzer.hpp"
 #include "analysis/symx/model.hpp"
-#include "rmt/parser.hpp"
 
 namespace ht::analysis {
 
@@ -18,13 +17,6 @@ std::string qwhere(std::size_t q) { return "query[" + std::to_string(q) + "]"; }
 
 void SymxCoveragePass::run(const AnalysisInput& in, AnalysisReport& out) const {
   symx::TaskModel model(in.task, in.compiled, in.asic);
-
-  // HT303: parser states no walk from the entry reaches.
-  for (const auto& state : symx::unreachable_parser_states(rmt::Parser::default_graph())) {
-    out.diagnostics.push_back({Severity::kWarning, "HT303", "parser",
-                               "parser state '" + state + "' is unreachable from the entry state",
-                               "remove the state or add a transition to it"});
-  }
 
   for (std::size_t q = 0; q < in.compiled.queries.size(); ++q) {
     // HT301: the symbolic walk found no packet that survives every

@@ -163,8 +163,7 @@ void Receiver::install() {
           return false;
         });
     tbl.set_hints({.role = rmt::TableHints::Role::kHtprReceived, .query_index = q});
-    tbl.set_default("run_query",
-                    [this, q](rmt::ActionContext& ctx) { query_action(q, ctx); });
+    tbl.set_default([this, q](rmt::ActionContext& ctx) { query_action(q, ctx); });
   }
 
   // Sent-traffic queries: egress pipeline, gated on the trigger's template
@@ -182,8 +181,7 @@ void Receiver::install() {
     tbl.set_hints({.role = rmt::TableHints::Role::kHtprSent,
                    .query_index = q,
                    .template_id = tid});
-    tbl.set_default("run_query",
-                    [this, q](rmt::ActionContext& ctx) { query_action(q, ctx); });
+    tbl.set_default([this, q](rmt::ActionContext& ctx) { query_action(q, ctx); });
   }
 
   // Maintenance: recirculating template packets drive one cuckoo-move pass
@@ -197,7 +195,7 @@ void Receiver::install() {
               static_cast<std::uint16_t>(phv.get(net::FieldId::kMetaIngressPort)));
         });
     tbl.set_hints({.role = rmt::TableHints::Role::kHtprMaintenance});
-    tbl.set_default("maintain", [this](rmt::ActionContext& ctx) {
+    tbl.set_default([this](rmt::ActionContext& ctx) {
       for (auto& s : stores_) {
         if (s) s->maintenance_pass(ctx);
       }

@@ -50,7 +50,8 @@ void Sender::install() {
   pktid_ = &rf.create("htps.pktid", std::max<std::size_t>(n, 1), 32);
   ramp_anchor_ = &rf.create("htps.ramp_anchor", std::max<std::size_t>(n, 1), 64);
 
-  // Per-edit-op state registers (value-list cursors / range accumulators).
+  // Per-edit-op state registers (value-list cursors / range accumulators,
+  // and the shared timestamp register a kRecordTimestamp edit writes).
   edit_state_.resize(n);
   for (std::uint32_t t = 0; t < n; ++t) {
     auto& cfg = templates_[t];
@@ -62,9 +63,10 @@ void Sender::install() {
         auto& reg = rf.create("htps.ed." + std::to_string(t) + "." + std::to_string(j), 1, 64);
         if (op.kind == EditOp::Kind::kRange) reg.write(0, op.start);
         edit_state_[t][j] = &reg;
-      } else if (op.kind == EditOp::Kind::kRecordTimestamp &&
-                 !rf.contains(op.state_register)) {
-        rf.create(op.state_register, op.state_size, 64);
+      } else if (op.kind == EditOp::Kind::kRecordTimestamp) {
+        edit_state_[t][j] = rf.contains(op.state_register)
+                                ? &rf.get(op.state_register)
+                                : &rf.create(op.state_register, op.state_size, 64);
       }
     }
     // Mcast group: the template's recirculation channel keeps it looping;
@@ -134,33 +136,27 @@ void Sender::install() {
   const std::uint16_t cpu_port = rmt::SwitchAsic::kCpuPort;
   auto& asic = asic_;
   auto& sender_tbl = asic_.ingress().add_table(
-      "htps_sender", {{net::FieldId::kMetaTemplateId, rmt::MatchKind::kExact}},
+      "htps_sender", net::FieldId::kMetaTemplateId,
       std::max<std::size_t>(n, 1), [&asic, cpu_port](const rmt::Phv& phv) {
         const auto iport = static_cast<std::uint16_t>(phv.get(net::FieldId::kMetaIngressPort));
         return iport == cpu_port || asic.is_recirc_port(iport);
       });
   sender_tbl.set_hints({.role = rmt::TableHints::Role::kHtpsSender});
   for (std::uint32_t t = 0; t < n; ++t) {
-    sender_tbl.add_entry({{rmt::KeyMatch{.value = t}},
-                          0,
-                          "htps_replicate",
-                          [this, t](rmt::ActionContext& ctx) { ingress_action(t, ctx); }});
+    sender_tbl.add_entry(t, [this, t](rmt::ActionContext& ctx) { ingress_action(t, ctx); });
   }
 
   // Egress: editor. Runs only on replicas leaving a front-panel port.
   const std::size_t front_ports = asic_.port_count();
   auto& editor_tbl = asic_.egress().add_table(
-      "htps_editor", {{net::FieldId::kMetaTemplateId, rmt::MatchKind::kExact}},
+      "htps_editor", net::FieldId::kMetaTemplateId,
       std::max<std::size_t>(n, 1), [front_ports](const rmt::Phv& phv) {
         return phv.get(net::FieldId::kMetaEgressPort) < front_ports &&
                phv.packet->meta().is_template;
       });
   editor_tbl.set_hints({.role = rmt::TableHints::Role::kHtpsEditor});
   for (std::uint32_t t = 0; t < n; ++t) {
-    editor_tbl.add_entry({{rmt::KeyMatch{.value = t}},
-                          0,
-                          "htps_edit",
-                          [this, t](rmt::ActionContext& ctx) { egress_action(t, ctx); }});
+    editor_tbl.add_entry(t, [this, t](rmt::ActionContext& ctx) { egress_action(t, ctx); });
   }
 
   // Structural resource declarations (Table 7 accounting).

@@ -196,7 +196,9 @@ class Sender {
   rmt::RegisterArray* pktid_ = nullptr;
   /// Ramp anchor time per template (0 = not yet anchored).
   rmt::RegisterArray* ramp_anchor_ = nullptr;
-  /// Per-(template, edit-op) sequence registers, created at install.
+  /// Per-(template, edit-op) state registers, resolved at install: the
+  /// sequence register of a kList/kRange edit, the timestamp register of a
+  /// kRecordTimestamp edit.
   std::vector<std::vector<rmt::RegisterArray*>> edit_state_;
 
   /// Per-template send-rate telemetry (device registry cells, created at
@@ -375,7 +377,7 @@ void Sender::egress_core(std::uint32_t tid, Ctx& ctx) {
         break;
       }
       case EditOp::Kind::kRecordTimestamp: {
-        auto& reg = ctx.registers().get(op.state_register);
+        rmt::RegisterArray& reg = *edit_state_[tid][j];
         reg.write(ctx.get(op.field) & (reg.size() - 1), ctx.now());
         break;
       }

@@ -2,7 +2,7 @@
 // class, built at install time.
 //
 // The interpreted walk pays, per packet: a parser pass (field extraction
-// into a PHV), gateway evaluation + key packing + hash lookup per table,
+// into a PHV), gateway evaluation + a hash lookup per keyed table,
 // std::function action dispatch, a deparse pass, and a full checksum
 // recompute. For a loaded task all of that is install-time constant per
 // template class — the parse offsets, the gate verdicts, the matching

@@ -4,16 +4,12 @@
 
 namespace ht::rmt {
 
-MatchActionTable& Pipeline::add_table(std::unique_ptr<MatchActionTable> table, GatewayFn gate) {
-  nodes_.push_back(PipelineNode{std::move(table), std::move(gate), -1});
-  return *nodes_.back().table;
-}
-
-MatchActionTable& Pipeline::add_table(std::string table_name, std::vector<MatchSpec> key,
+MatchActionTable& Pipeline::add_table(std::string table_name, std::optional<net::FieldId> key,
                                       std::size_t size_hint, GatewayFn gate) {
-  return add_table(
-      std::make_unique<MatchActionTable>(std::move(table_name), std::move(key), size_hint),
-      std::move(gate));
+  nodes_.push_back(PipelineNode{
+      std::make_unique<MatchActionTable>(std::move(table_name), key, size_hint),
+      std::move(gate), -1});
+  return *nodes_.back().table;
 }
 
 void Pipeline::apply(ActionContext& ctx) {

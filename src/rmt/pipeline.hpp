@@ -55,8 +55,8 @@ class Pipeline {
                                                              max_stages_(max_stages) {}
 
   /// Append a table; returns a stable reference for entry installation.
-  MatchActionTable& add_table(std::unique_ptr<MatchActionTable> table, GatewayFn gate = nullptr);
-  MatchActionTable& add_table(std::string table_name, std::vector<MatchSpec> key,
+  /// `key` is the exact-match field, or `{}` for a keyless table.
+  MatchActionTable& add_table(std::string table_name, std::optional<net::FieldId> key,
                               std::size_t size_hint = 1024, GatewayFn gate = nullptr);
 
   /// Run every (gated) table in order over the PHV.
@@ -65,7 +65,7 @@ class Pipeline {
   /// Run a task-compiled program (built at install time by the fast-path
   /// binder) instead of the interpreted walk: per-table hit/miss booking
   /// plus straight-line fused bodies, no gateway evaluation and no key
-  /// packing/lookup. Counter-equivalent to apply() on the packet class the
+  /// lookup. Counter-equivalent to apply() on the packet class the
   /// program was specialized for; the differential test
   /// (tests/fastpath_diff_test.cpp) enforces this byte-for-byte.
   template <class Ctx>

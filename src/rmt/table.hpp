@@ -1,9 +1,10 @@
 // Match-action tables.
 //
-// A table declares a key (list of fields, each with a match kind), holds
-// entries installed by the control plane, and maps a PHV to an action.
-// Exact-only tables use a hash index (as SRAM exact tables do); tables
-// with ternary/range keys fall back to priority-ordered scan (TCAM).
+// A table is either exact on one field (the HTPS replicator and editor,
+// keyed by template id) or keyless (every HTPR table, which runs its
+// default action behind a gateway). Exact entries live in a hash index
+// keyed by the field value, as SRAM exact tables do; a keyless table
+// holds no entries and books one miss per apply.
 #pragma once
 
 #include <cstdint>
@@ -33,31 +34,6 @@ struct ActionContext {
 
 using ActionFn = std::function<void(ActionContext&)>;
 
-enum class MatchKind : std::uint8_t { kExact, kTernary, kRange, kLpm };
-
-struct MatchSpec {
-  net::FieldId field;
-  MatchKind kind = MatchKind::kExact;
-};
-
-/// One field's criterion inside an entry.
-struct KeyMatch {
-  std::uint64_t value = 0;
-  std::uint64_t mask = ~std::uint64_t{0};  ///< ternary only
-  std::uint64_t high = 0;                  ///< range upper bound (inclusive)
-  unsigned prefix_len = 0;                 ///< LPM only (bits from the MSB)
-};
-
-/// Build an LPM criterion for a field of `field_bits` total width.
-KeyMatch lpm_match(std::uint64_t value, unsigned prefix_len, unsigned field_bits);
-
-struct TableEntry {
-  std::vector<KeyMatch> keys;
-  int priority = 0;  ///< higher wins among ternary/range overlaps
-  std::string action_name;
-  ActionFn action;
-};
-
 /// Install-time metadata describing what a table *is*, so the task-compiled
 /// fast path (src/rmt/fastpath/) can re-derive its semantics without
 /// interpreting the gate/action closures. Components that install tables
@@ -81,23 +57,26 @@ struct TableHints {
 
 class MatchActionTable {
  public:
-  MatchActionTable(std::string name, std::vector<MatchSpec> key, std::size_t size_hint = 1024);
+  /// `key` is the exact-match field; nullopt (or `{}`) makes a keyless table.
+  MatchActionTable(std::string name, std::optional<net::FieldId> key,
+                   std::size_t size_hint = 1024);
 
   const std::string& name() const { return name_; }
-  const std::vector<MatchSpec>& key() const { return key_; }
   std::size_t size_hint() const { return size_hint_; }
 
-  /// Install an entry; `keys` must parallel the declared key. Throws on
-  /// arity mismatch or when an exact table exceeds its declared size.
-  void add_entry(TableEntry entry);
-  void set_default(std::string action_name, ActionFn action);
+  /// Install the entry for key value `value`. Throws std::logic_error on a
+  /// keyless table, std::length_error past the declared size and
+  /// std::invalid_argument on a duplicate value.
+  void add_entry(std::uint64_t value, ActionFn action);
+  void set_default(ActionFn action);
 
   /// Match + execute: runs the hit entry's action or the default action.
   /// Returns true on hit.
   bool apply(ActionContext& ctx);
 
-  /// Match only (no action); exposed for tests and the receiver fast path.
-  const TableEntry* lookup(const Phv& phv) const;
+  /// Match only (no action): the hit entry's action (possibly empty), or
+  /// null on a miss. Books the hit or miss like apply().
+  const ActionFn* lookup(const Phv& phv) const;
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
@@ -112,17 +91,11 @@ class MatchActionTable {
   const TableHints& hints() const { return hints_; }
 
  private:
-  bool entry_matches(const TableEntry& e, const Phv& phv) const;
-  std::string pack_exact_key(const Phv& phv) const;
-  std::string pack_entry_key(const TableEntry& e) const;
-
   std::string name_;
-  std::vector<MatchSpec> key_;
+  std::optional<net::FieldId> key_;
   std::size_t size_hint_;
-  bool all_exact_;
-  std::vector<TableEntry> entries_;
-  std::unordered_map<std::string, std::size_t> exact_index_;
-  std::optional<TableEntry> default_entry_;
+  std::unordered_map<std::uint64_t, ActionFn> entries_;
+  ActionFn default_action_;
   TableHints hints_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;

@@ -243,9 +243,9 @@ TEST(RegisterFile, NamedCreateGetDuplicates) {
 }
 
 TEST(Table, ExactMatchHitAndMiss) {
-  MatchActionTable t("t", {{FieldId::kUdpDport, MatchKind::kExact}}, 16);
+  MatchActionTable t("t", FieldId::kUdpDport, 16);
   bool hit = false;
-  t.add_entry({{KeyMatch{.value = 80}}, 0, "a", [&](ActionContext&) { hit = true; }});
+  t.add_entry(80, [&](ActionContext&) { hit = true; });
   Phv phv = parse_udp(10, 80);
   RegisterFile rf;
   sim::Rng rng;
@@ -260,90 +260,15 @@ TEST(Table, ExactMatchHitAndMiss) {
 }
 
 TEST(Table, DefaultActionRunsOnMiss) {
-  MatchActionTable t("t", {{FieldId::kUdpDport, MatchKind::kExact}}, 4);
+  MatchActionTable t("t", FieldId::kUdpDport, 4);
   bool fallback = false;
-  t.set_default("d", [&](ActionContext&) { fallback = true; });
+  t.set_default([&](ActionContext&) { fallback = true; });
   Phv phv = parse_udp();
   RegisterFile rf;
   sim::Rng rng;
   ActionContext ctx{phv, rf, rng, 0, nullptr};
   EXPECT_FALSE(t.apply(ctx));
   EXPECT_TRUE(fallback);
-}
-
-TEST(Table, TernaryPriority) {
-  MatchActionTable t("t", {{FieldId::kIpv4Dip, MatchKind::kTernary}}, 8);
-  int which = 0;
-  t.add_entry({{KeyMatch{.value = 0x0A000000, .mask = 0xFF000000}},
-               1,
-               "low",
-               [&](ActionContext&) { which = 1; }});
-  t.add_entry({{KeyMatch{.value = 0x0A0B0000, .mask = 0xFFFF0000}},
-               2,
-               "high",
-               [&](ActionContext&) { which = 2; }});
-  auto pkt = net::make_packet(net::make_udp_packet(1, 0x0A0B0C0D, 1, 2, 64));
-  Phv phv = Parser::default_graph().parse(pkt);
-  RegisterFile rf;
-  sim::Rng rng;
-  ActionContext ctx{phv, rf, rng, 0, nullptr};
-  EXPECT_TRUE(t.apply(ctx));
-  EXPECT_EQ(which, 2);  // longer prefix has higher priority
-}
-
-TEST(Table, RangeMatch) {
-  MatchActionTable t("t", {{FieldId::kUdpDport, MatchKind::kRange}}, 8);
-  bool hit = false;
-  t.add_entry({{KeyMatch{.value = 100, .high = 200}}, 0, "r", [&](ActionContext&) { hit = true; }});
-  Phv in_range = parse_udp(1, 150);
-  Phv below = parse_udp(1, 99);
-  Phv above = parse_udp(1, 201);
-  RegisterFile rf;
-  sim::Rng rng;
-  ActionContext c1{in_range, rf, rng, 0, nullptr};
-  ActionContext c2{below, rf, rng, 0, nullptr};
-  ActionContext c3{above, rf, rng, 0, nullptr};
-  EXPECT_TRUE(t.apply(c1));
-  EXPECT_FALSE(t.apply(c2));
-  EXPECT_FALSE(t.apply(c3));
-  EXPECT_TRUE(hit);
-}
-
-TEST(Table, LpmLongestPrefixWins) {
-  MatchActionTable t("routes", {{FieldId::kIpv4Dip, MatchKind::kLpm}}, 8);
-  int which = 0;
-  t.add_entry({{lpm_match(0x0A000000, 8, 32)}, 0, "slash8", [&](ActionContext&) { which = 8; }});
-  t.add_entry({{lpm_match(0x0A0B0000, 16, 32)}, 0, "slash16",
-               [&](ActionContext&) { which = 16; }});
-  t.add_entry({{lpm_match(0x0A0B0C00, 24, 32)}, 0, "slash24",
-               [&](ActionContext&) { which = 24; }});
-  RegisterFile rf;
-  sim::Rng rng;
-  const auto lookup = [&](std::uint32_t dip) {
-    auto pkt = net::make_packet(net::make_udp_packet(1, dip, 1, 2, 64));
-    Phv phv = Parser::default_graph().parse(pkt);
-    ActionContext ctx{phv, rf, rng, 0, nullptr};
-    which = 0;
-    t.apply(ctx);
-    return which;
-  };
-  EXPECT_EQ(lookup(0x0A0B0C0D), 24);  // most specific
-  EXPECT_EQ(lookup(0x0A0B0F01), 16);
-  EXPECT_EQ(lookup(0x0AFF0001), 8);
-  EXPECT_EQ(lookup(0x0B000001), 0);  // miss
-}
-
-TEST(Table, LpmDefaultRouteMatchesEverything) {
-  MatchActionTable t("routes", {{FieldId::kIpv4Dip, MatchKind::kLpm}}, 4);
-  bool hit = false;
-  t.add_entry({{lpm_match(0, 0, 32)}, 0, "default", [&](ActionContext&) { hit = true; }});
-  auto pkt = net::make_packet(net::make_udp_packet(1, 0xDEADBEEF, 1, 2, 64));
-  Phv phv = Parser::default_graph().parse(pkt);
-  RegisterFile rf;
-  sim::Rng rng;
-  ActionContext ctx{phv, rf, rng, 0, nullptr};
-  EXPECT_TRUE(t.apply(ctx));
-  EXPECT_TRUE(hit);
 }
 
 TEST(Mcast, GroupTableConfigureAndRemove) {
@@ -391,12 +316,14 @@ TEST(Timing, ModelInvariants) {
 }
 
 TEST(Table, CapacityAndDuplicateEnforced) {
-  MatchActionTable t("t", {{FieldId::kUdpDport, MatchKind::kExact}}, 1);
-  t.add_entry({{KeyMatch{.value = 1}}, 0, "a", nullptr});
-  EXPECT_THROW(t.add_entry({{KeyMatch{.value = 2}}, 0, "b", nullptr}), std::length_error);
-  MatchActionTable t2("t2", {{FieldId::kUdpDport, MatchKind::kExact}}, 8);
-  t2.add_entry({{KeyMatch{.value = 1}}, 0, "a", nullptr});
-  EXPECT_THROW(t2.add_entry({{KeyMatch{.value = 1}}, 0, "b", nullptr}), std::invalid_argument);
+  MatchActionTable t("t", FieldId::kUdpDport, 1);
+  t.add_entry(1, nullptr);
+  EXPECT_THROW(t.add_entry(2, nullptr), std::length_error);
+  MatchActionTable t2("t2", FieldId::kUdpDport, 8);
+  t2.add_entry(1, nullptr);
+  EXPECT_THROW(t2.add_entry(1, nullptr), std::invalid_argument);
+  MatchActionTable keyless("k", {}, 8);
+  EXPECT_THROW(keyless.add_entry(1, nullptr), std::logic_error);
 }
 
 TEST(Pipeline, GatewaySkipsTable) {
@@ -405,7 +332,7 @@ TEST(Pipeline, GatewaySkipsTable) {
   auto& t = p.add_table("t", {}, 4, [](const Phv& phv) {
     return phv.get(FieldId::kUdpDport) == 80;
   });
-  t.set_default("count", [&](ActionContext&) { ++runs; });
+  t.set_default([&](ActionContext&) { ++runs; });
   Phv yes = parse_udp(1, 80);
   Phv no = parse_udp(1, 81);
   RegisterFile rf;
@@ -449,7 +376,7 @@ TEST(Asic, UnicastForwardsWithPipelineLatency) {
   test::AsicTestbed tb(rmt::AsicConfig{.num_ports = 4, .port_rate_gbps = 100.0});
   // Program: everything arriving on port 0 goes out port 1.
   auto& t = tb.asic.ingress().add_table("fwd", {}, 4);
-  t.set_default("fwd", [](ActionContext& ctx) {
+  t.set_default([](ActionContext& ctx) {
     ctx.phv.intrinsic().dest = Destination::kUnicast;
     ctx.phv.intrinsic().ucast_port = 1;
   });
@@ -474,7 +401,7 @@ TEST(Asic, MulticastReplicatesToMembers) {
   test::AsicTestbed tb(rmt::AsicConfig{.num_ports = 4});
   tb.asic.mcast().configure(7, {{1, 1}, {2, 2}, {3, 3}});
   auto& t = tb.asic.ingress().add_table("mc", {}, 4);
-  t.set_default("mc", [](ActionContext& ctx) {
+  t.set_default([](ActionContext& ctx) {
     ctx.phv.intrinsic().dest = Destination::kMulticast;
     ctx.phv.intrinsic().mcast_group = 7;
   });
@@ -493,7 +420,7 @@ TEST(Asic, McastDelayMatchesCalibration) {
   test::AsicTestbed tb(rmt::AsicConfig{.num_ports = 2});
   tb.asic.mcast().configure(1, {{1, 1}});
   auto& t = tb.asic.ingress().add_table("mc", {}, 4);
-  t.set_default("mc", [](ActionContext& ctx) {
+  t.set_default([](ActionContext& ctx) {
     ctx.phv.intrinsic().dest = Destination::kMulticast;
     ctx.phv.intrinsic().mcast_group = 1;
   });
@@ -508,7 +435,7 @@ TEST(Asic, RecirculationLoopRttMatchesFig14) {
   // Count loop arrivals of the template packet.
   std::vector<sim::TimeNs> arrivals;
   auto& t = asic.ingress().add_table("loop", {}, 4);
-  t.set_default("loop", [&](ActionContext& ctx) {
+  t.set_default([&](ActionContext& ctx) {
     if (ctx.phv.get(net::FieldId::kMetaIngressPort) != rmt::SwitchAsic::kCpuPort) {
       arrivals.push_back(ctx.now);
     }
@@ -540,7 +467,7 @@ TEST(Asic, CpuPuntAndInjection) {
   sim::EventQueue ev;
   rmt::SwitchAsic asic(ev, rmt::AsicConfig{.num_ports = 2});
   auto& t = asic.ingress().add_table("tocpu", {}, 4);
-  t.set_default("tocpu", [](ActionContext& ctx) {
+  t.set_default([](ActionContext& ctx) {
     ctx.phv.intrinsic().dest = Destination::kUnicast;
     ctx.phv.intrinsic().ucast_port = rmt::SwitchAsic::kCpuPort;
   });
@@ -567,12 +494,12 @@ TEST(Asic, DigestEngineDeliversInOrderWithServiceTime) {
 TEST(Asic, EgressRewritesAndChecksumsFixed) {
   test::AsicTestbed tb(rmt::AsicConfig{.num_ports = 2});
   auto& ti = tb.asic.ingress().add_table("fwd", {}, 4);
-  ti.set_default("fwd", [](ActionContext& ctx) {
+  ti.set_default([](ActionContext& ctx) {
     ctx.phv.intrinsic().dest = Destination::kUnicast;
     ctx.phv.intrinsic().ucast_port = 1;
   });
   auto& te = tb.asic.egress().add_table("rewrite", {}, 4);
-  te.set_default("rewrite", [](ActionContext& ctx) {
+  te.set_default([](ActionContext& ctx) {
     ctx.phv.set(FieldId::kUdpDport, 5555);
   });
   tb.sinks[0]->port.send(net::make_packet(net::make_udp_packet(1, 2, 3, 4, 64)));
